@@ -73,6 +73,11 @@
 #      sweeps 1/2/4/8 shards at 64 and 256 nodes. The sweep's wall-clock
 #      speedup is NOT gated: it depends on host core count (a 1-core CI box
 #      legitimately measures ~1x). The determinism gate is the ctest suite.
+#  11. Benchmark smoke: one short untraced run of every edenbench workload
+#      (edenbench/README.md). Host timings are not gated here; the point is
+#      the benchmark's own output checks, any of which fails the run:
+#      pass-to-pass digest and counter reproduction, 1- vs 2-shard per-node
+#      digests, exactly-once counter sums and the reincarnation check.
 #
 #   scripts/ci.sh [jobs]
 set -eu
@@ -159,5 +164,11 @@ cmake --build "$repo_root/build-tsan" -j "$jobs" --target parallel_sim_test
 echo "== sharded engine smoke (shard sweep, quick) =="
 "$repo_root/build/bench/bench_throughput" --quick \
   --json="$repo_root/build/BENCH_bench_throughput_smoke.json"
+
+echo "== benchmark smoke (edenbench output checks, every workload) =="
+for workload in ring_csma zipf_lease durable_mirror sharded_ring; do
+  (cd "$repo_root" && python3 edenbench/run.py --workload "$workload" \
+    --seed 1 --seconds 1 --trace 0)
+done
 
 echo "CI OK"

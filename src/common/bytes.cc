@@ -1,5 +1,7 @@
 #include "src/common/bytes.h"
 
+#include <array>
+
 namespace eden {
 
 Bytes ToBytes(std::string_view text) {
@@ -186,20 +188,36 @@ uint64_t Fnv1a64(std::string_view text) {
 
 namespace {
 
-// Table-driven reflected CRC-32; the table is built once on first use.
-const uint32_t* Crc32Table() {
-  static const uint32_t* table = [] {
-    static uint32_t entries[256];
-    for (uint32_t i = 0; i < 256; i++) {
-      uint32_t crc = i;
-      for (int bit = 0; bit < 8; bit++) {
-        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
-      }
-      entries[i] = crc;
+// Slicing-by-8 tables for the reflected CRC-32, built at compile time.
+// kCrc32Tables[0] is the classic byte-at-a-time table; kCrc32Tables[k][b] is
+// the CRC contribution of byte b followed by k zero bytes, so eight lookups
+// fold one 8-byte word into the state.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables tables{};
+  for (uint32_t i = 0; i < 256; i++) {
+    uint32_t crc = i;
+    for (int bit = 0; bit < 8; bit++) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
     }
-    return entries;
-  }();
-  return table;
+    tables[0][i] = crc;
+  }
+  for (size_t k = 1; k < 8; k++) {
+    for (uint32_t i = 0; i < 256; i++) {
+      uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xffu];
+    }
+  }
+  return tables;
+}
+
+constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
+
+// Little-endian load from any alignment; compiles to one mov on x86.
+inline uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
@@ -207,9 +225,17 @@ const uint32_t* Crc32Table() {
 uint32_t Crc32Begin() { return 0xFFFFFFFFu; }
 
 uint32_t Crc32Update(uint32_t state, const uint8_t* data, size_t size) {
-  const uint32_t* table = Crc32Table();
-  for (size_t i = 0; i < size; i++) {
-    state = (state >> 8) ^ table[(state ^ data[i]) & 0xffu];
+  const Crc32Tables& t = kCrc32Tables;
+  for (; size >= 8; data += 8, size -= 8) {
+    uint32_t lo = LoadLe32(data) ^ state;
+    uint32_t hi = LoadLe32(data + 4);
+    state = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+            t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+            t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^
+            t[0][hi >> 24];
+  }
+  for (; size > 0; data++, size--) {
+    state = (state >> 8) ^ t[0][(state ^ *data) & 0xffu];
   }
   return state;
 }

@@ -499,19 +499,89 @@ void Transport::ArmReassemblySweep() {
 
 bool Transport::AlreadyDelivered(StationId src, uint64_t msg_id) const {
   auto it = history_.find(src);
-  if (it == history_.end()) {
-    return false;
-  }
-  return it->second.delivered.count(msg_id) > 0;
+  return it != history_.end() && it->second.Contains(msg_id);
 }
 
 void Transport::RecordDelivered(StationId src, uint64_t msg_id) {
-  PeerHistory& peer = history_[src];
-  peer.delivered.insert(msg_id);
-  peer.order.push_back(msg_id);
-  while (peer.order.size() > config_.dedup_window) {
-    peer.delivered.erase(peer.order.front());
-    peer.order.pop_front();
+  history_[src].Insert(msg_id, config_.dedup_window);
+}
+
+size_t Transport::PeerHistory::Home(uint64_t msg_id) const {
+  // Fibonacci hashing: a sender's ids are consecutive, and the multiply
+  // spreads consecutive ids across the whole index.
+  return static_cast<size_t>((msg_id * 0x9E3779B97F4A7C15ull) >>
+                             (64 - index_bits_));
+}
+
+bool Transport::PeerHistory::Contains(uint64_t msg_id) const {
+  if (index_.empty()) {
+    return false;
+  }
+  size_t mask = index_.size() - 1;
+  for (size_t i = Home(msg_id);; i = (i + 1) & mask) {
+    if (index_[i] == kEmpty) {
+      return false;
+    }
+    if (ring_[index_[i] - 1] == msg_id) {
+      return true;
+    }
+  }
+}
+
+void Transport::PeerHistory::Insert(uint64_t msg_id, size_t window) {
+  if (window == 0) {
+    return;
+  }
+  assert(!Contains(msg_id) && "a window holds each id at most once");
+  if (ring_.size() < window) {
+    ring_.push_back(msg_id);
+    if (2 * ring_.size() > index_.size()) {
+      GrowIndex();  // reindexes every position, the new one included
+    } else {
+      IndexPosition(static_cast<uint32_t>(ring_.size() - 1));
+    }
+    return;
+  }
+  uint32_t pos = static_cast<uint32_t>(oldest_);
+  UnindexPosition(pos);
+  ring_[pos] = msg_id;
+  IndexPosition(pos);
+  oldest_ = (oldest_ + 1) % ring_.size();
+}
+
+void Transport::PeerHistory::IndexPosition(uint32_t pos) {
+  size_t mask = index_.size() - 1;
+  size_t i = Home(ring_[pos]);
+  while (index_[i] != kEmpty) {
+    i = (i + 1) & mask;
+  }
+  index_[i] = pos + 1;
+}
+
+void Transport::PeerHistory::UnindexPosition(uint32_t pos) {
+  size_t mask = index_.size() - 1;
+  size_t hole = Home(ring_[pos]);
+  while (index_[hole] != pos + 1) {
+    hole = (hole + 1) & mask;
+  }
+  // Backward-shift deletion: pull later members of the probe run into the
+  // hole when their home slot allows it, so no tombstones are needed.
+  for (size_t next = (hole + 1) & mask; index_[next] != kEmpty;
+       next = (next + 1) & mask) {
+    size_t home = Home(ring_[index_[next] - 1]);
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      index_[hole] = index_[next];
+      hole = next;
+    }
+  }
+  index_[hole] = kEmpty;
+}
+
+void Transport::PeerHistory::GrowIndex() {
+  index_bits_ = std::max(index_bits_ + 1, 4);
+  index_.assign(size_t{1} << index_bits_, kEmpty);
+  for (uint32_t pos = 0; pos < ring_.size(); pos++) {
+    IndexPosition(pos);
   }
 }
 

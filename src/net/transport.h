@@ -21,16 +21,19 @@
 //     frame to that peer, or batched into one ACK frame after ack_delay.
 //   * One retransmit timer per transport (a deadline min-heap), not one
 //     simulation event per in-flight message.
+//   * Slicing-by-8 CRC-32 (src/common/bytes): the three checksum calls per
+//     frame fold eight bytes per table step, with bit-identical values.
+//   * A flat duplicate-suppression window per peer (PeerHistory): a ring of
+//     the last dedup_window delivered ids plus an open-addressed index into
+//     it, so a delivery allocates nothing once the window is full.
 #ifndef EDEN_SRC_NET_TRANSPORT_H_
 #define EDEN_SRC_NET_TRANSPORT_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <queue>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -165,9 +168,31 @@ class Transport {
     SimTime last_progress = 0;
   };
 
-  struct PeerHistory {
-    std::unordered_set<uint64_t> delivered;
-    std::deque<uint64_t> order;
+  // The last `dedup_window` message ids delivered from one peer: a ring in
+  // delivery order plus an open-addressed index of ring positions (linear
+  // probing, load <= 1/2). Both grow by doubling as the peer's traffic
+  // fills the window, so a peer heard from once holds one id and a 16-slot
+  // index, and a busy one allocates nothing per delivery once its window is
+  // full.
+  class PeerHistory {
+   public:
+    bool Contains(uint64_t msg_id) const;
+    // Records a delivery of an id not in the window, evicting the oldest id
+    // once `window` ids are held.
+    void Insert(uint64_t msg_id, size_t window);
+
+   private:
+    static constexpr uint32_t kEmpty = 0;  // index_ holds ring position + 1
+
+    size_t Home(uint64_t msg_id) const;
+    void IndexPosition(uint32_t pos);
+    void UnindexPosition(uint32_t pos);
+    void GrowIndex();
+
+    std::vector<uint64_t> ring_;
+    size_t oldest_ = 0;  // ring position of the oldest id once the ring is full
+    std::vector<uint32_t> index_;  // size 0 or a power of two
+    int index_bits_ = 0;
   };
 
   struct TransportCounters {

@@ -1,5 +1,6 @@
 #include "src/sim/simulation.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 
@@ -35,8 +36,8 @@ uint32_t Simulation::AllocSlot() {
 
 void Simulation::ReleaseSlot(uint32_t index) {
   Slot& slot = slots_[index];
-  slot.generation++;  // invalidates every outstanding id/queue entry
-  slot.armed = false;
+  slot.generation++;  // invalidates every outstanding id
+  slot.heap_pos = kNoSlot;
   slot.next_free = free_head_;
   free_head_ = index;
 }
@@ -70,10 +71,61 @@ EventId Simulation::Push(SimTime when, uint32_t domain, uint32_t stream,
   uint32_t index = AllocSlot();
   Slot& slot = slots_[index];
   slot.fn = std::move(fn);
-  slot.armed = true;
-  queue_.push(QueueEntry{when, seq, domain, stream, index, slot.generation});
-  live_count_++;
+  heap_.emplace_back();
+  SiftUp(heap_.size() - 1,
+         HeapEntry{when, (static_cast<uint64_t>(domain) << 32) | stream, seq,
+                   index});
   return MakeId(slot.generation, index);
+}
+
+void Simulation::SiftUp(size_t pos, HeapEntry entry) {
+  while (pos > 0) {
+    size_t parent = (pos - 1) / kArity;
+    if (!entry.Before(heap_[parent])) {
+      break;
+    }
+    Place(pos, heap_[parent]);
+    pos = parent;
+  }
+  Place(pos, entry);
+}
+
+void Simulation::SiftDown(size_t pos, HeapEntry entry) {
+  size_t size = heap_.size();
+  while (true) {
+    size_t first = kArity * pos + 1;
+    if (first >= size) {
+      break;
+    }
+    size_t last = std::min(first + kArity, size);
+    size_t best = first;
+    for (size_t child = first + 1; child < last; child++) {
+      if (heap_[child].Before(heap_[best])) {
+        best = child;
+      }
+    }
+    if (!heap_[best].Before(entry)) {
+      break;
+    }
+    Place(pos, heap_[best]);
+    pos = best;
+  }
+  Place(pos, entry);
+}
+
+// Fills the hole at `pos` with the last entry and restores heap order. The
+// caller owns the removed entry's slot.
+void Simulation::RemoveAt(size_t pos) {
+  HeapEntry last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) {
+    return;  // the hole was the last position
+  }
+  if (pos > 0 && last.Before(heap_[(pos - 1) / kArity])) {
+    SiftUp(pos, last);
+  } else {
+    SiftDown(pos, last);
+  }
 }
 
 void Simulation::Cancel(EventId id) {
@@ -83,15 +135,15 @@ void Simulation::Cancel(EventId id) {
     return;
   }
   Slot& slot = slots_[index];
-  if (slot.generation != generation || !slot.armed) {
+  if (slot.generation != generation || slot.heap_pos == kNoSlot) {
     return;  // already fired, already cancelled, or never existed
   }
-  slot.fn.Reset();  // release captures now, not when the entry surfaces
-  live_count_--;
+  RemoveAt(slot.heap_pos);
+  slot.fn.Reset();  // release captures now, not when the slot is reused
   ReleaseSlot(index);
 }
 
-void Simulation::Execute(const QueueEntry& top) {
+void Simulation::Execute(const HeapEntry& top) {
   Slot& slot = slots_[top.slot];
   assert(top.when >= now_);
   now_ = top.when;
@@ -102,32 +154,27 @@ void Simulation::Execute(const QueueEntry& top) {
   // additionally mix their (domain, stream) so distinct streams cannot alias.
   trace_.Mix(static_cast<uint64_t>(top.when));
   trace_.Mix(top.seq);
-  if ((top.domain | top.stream) != 0) {
-    trace_.Mix((static_cast<uint64_t>(top.domain) << 32) | top.stream);
+  if (top.order != 0) {
+    trace_.Mix(top.order);
   }
   events_executed_++;
-  live_count_--;
   // Free the slot before invoking so the callback can schedule into it;
   // the generation bump keeps this entry's id from resurrecting.
   EventFn fn = std::move(slot.fn);
   ReleaseSlot(top.slot);
-  current_domain_ = top.domain;
+  current_domain_ = static_cast<uint32_t>(top.order >> 32);
   fn();
   current_domain_ = 0;
 }
 
 bool Simulation::Step() {
-  while (!queue_.empty()) {
-    QueueEntry top = queue_.top();
-    queue_.pop();
-    Slot& slot = slots_[top.slot];
-    if (slot.generation != top.generation || !slot.armed) {
-      continue;  // cancelled: its slot was already recycled
-    }
-    Execute(top);
-    return true;
+  if (heap_.empty()) {
+    return false;
   }
-  return false;
+  HeapEntry top = heap_.front();
+  RemoveAt(0);
+  Execute(top);
+  return true;
 }
 
 void Simulation::Run(uint64_t max_events) {
@@ -139,16 +186,7 @@ void Simulation::Run(uint64_t max_events) {
 }
 
 void Simulation::RunUntil(SimTime deadline) {
-  while (!queue_.empty()) {
-    const QueueEntry& top = queue_.top();
-    const Slot& slot = slots_[top.slot];
-    if (slot.generation != top.generation || !slot.armed) {
-      queue_.pop();  // drop stale entries without advancing the clock
-      continue;
-    }
-    if (top.when > deadline) {
-      break;
-    }
+  while (!heap_.empty() && heap_.front().when <= deadline) {
     Step();
   }
   if (now_ < deadline) {
@@ -157,31 +195,9 @@ void Simulation::RunUntil(SimTime deadline) {
 }
 
 void Simulation::RunEventsBefore(SimTime bound) {
-  while (!queue_.empty()) {
-    const QueueEntry& top = queue_.top();
-    const Slot& slot = slots_[top.slot];
-    if (slot.generation != top.generation || !slot.armed) {
-      queue_.pop();
-      continue;
-    }
-    if (top.when >= bound) {
-      break;
-    }
+  while (!heap_.empty() && heap_.front().when < bound) {
     Step();
   }
-}
-
-SimTime Simulation::PeekNextEventTime() {
-  while (!queue_.empty()) {
-    const QueueEntry& top = queue_.top();
-    const Slot& slot = slots_[top.slot];
-    if (slot.generation != top.generation || !slot.armed) {
-      queue_.pop();
-      continue;
-    }
-    return top.when;
-  }
-  return kSimTimeNever;
 }
 
 bool Simulation::RunWhile(const std::function<bool()>& pending) {

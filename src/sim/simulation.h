@@ -8,10 +8,13 @@
 //
 // The event queue is allocation-free on the steady-state path: callbacks
 // live in a free-list pool of generation-tagged slots (EventId = generation
-// + slot index), so Schedule and Cancel are O(1) bookkeeping plus one
-// priority-queue push, with no per-event node allocation and no tombstone
-// map. Cancelled events are skipped lazily when they surface at the top of
-// the heap, exactly as the old tombstone table did.
+// + slot index), and the queue itself is an indexed 4-ary min-heap of
+// 32-byte keys. Each slot records its entry's heap position, so Cancel
+// removes the entry at once (O(log n)) and the heap holds exactly the live
+// events. Most timers never fire — a remote invocation cancels a 10 s
+// invocation timer and a 2 s attempt timer — so skipping cancelled entries
+// lazily would leave hundreds of stale entries per live one, and every push
+// and pop would pay for them.
 //
 // Same-timestamp ordering is governed by a canonical key (domain, stream,
 // seq) rather than a single global sequence number, so the order is a pure
@@ -33,7 +36,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -73,9 +75,9 @@ class Simulation {
   EventId ScheduleAtKeyed(SimTime when, uint32_t domain, uint32_t stream,
                           uint64_t seq, EventFn fn);
 
-  // Cancels a pending event in O(1). Cancelling an already-fired or unknown
-  // id is a no-op (the common race: a timeout firing at the same instant the
-  // reply lands).
+  // Cancels a pending event, removing it from the queue in O(log n).
+  // Cancelling an already-fired, already-cancelled or unknown id is a no-op
+  // (the common race: a timeout firing at the same instant the reply lands).
   void Cancel(EventId id);
 
   // Runs a single event. Returns false if the queue is empty.
@@ -101,13 +103,14 @@ class Simulation {
   // ingest cross-shard deliveries inside this one).
   void RunEventsBefore(SimTime bound);
 
-  // Timestamp of the next live event, or kSimTimeNever if the queue is
-  // empty. Pops stale (cancelled) heap entries as a side effect.
-  SimTime PeekNextEventTime();
+  // Timestamp of the next event, or kSimTimeNever if the queue is empty.
+  SimTime PeekNextEventTime() const {
+    return heap_.empty() ? kSimTimeNever : heap_.front().when;
+  }
 
   uint64_t events_executed() const { return events_executed_; }
-  // Live (scheduled, not cancelled, not fired) events.
-  size_t pending_events() const { return live_count_; }
+  // Live (scheduled, not cancelled, not fired) events: the heap's size.
+  size_t pending_events() const { return heap_.size(); }
 
   // Trace digest: Step() mixes every executed event's (when, seq) — plus the
   // order key for keyed events — into this, and components may Mix()
@@ -117,37 +120,37 @@ class Simulation {
 
  private:
   static constexpr uint32_t kNoSlot = 0xffffffffu;
+  // Children of heap position i sit at kArity*i + 1 .. kArity*i + kArity:
+  // half the depth of a binary heap, and one sibling group spans two cache
+  // lines of 32-byte entries.
+  static constexpr size_t kArity = 4;
 
   // Callback storage, recycled through a free list. A slot's generation
-  // bumps every time it is released, so a stale heap entry (cancelled or
-  // superseded event) is recognized and skipped when popped.
+  // bumps every time it is released, so an EventId of a fired or cancelled
+  // event never matches its slot again.
   struct Slot {
     uint32_t generation = 1;
-    bool armed = false;
+    uint32_t heap_pos = kNoSlot;  // kNoSlot unless the event is pending
     uint32_t next_free = kNoSlot;
     EventFn fn;
   };
 
-  // What actually sits in the priority queue: 32 bytes, no callable.
-  struct QueueEntry {
+  // One heap entry: 32 bytes, no callable. Keys are unique, so the pop
+  // order is a total order that does not depend on the heap's shape.
+  struct HeapEntry {
     SimTime when;
-    uint64_t seq;  // FIFO tiebreak within (when, domain, stream)
-    uint32_t domain;
-    uint32_t stream;
+    uint64_t order;  // (domain << 32) | stream
+    uint64_t seq;    // FIFO tiebreak within (when, domain, stream)
     uint32_t slot;
-    uint32_t generation;
 
-    bool operator>(const QueueEntry& other) const {
+    bool Before(const HeapEntry& other) const {
       if (when != other.when) {
-        return when > other.when;
+        return when < other.when;
       }
-      if (domain != other.domain) {
-        return domain > other.domain;
+      if (order != other.order) {
+        return order < other.order;
       }
-      if (stream != other.stream) {
-        return stream > other.stream;
-      }
-      return seq > other.seq;
+      return seq < other.seq;
     }
   };
 
@@ -160,19 +163,25 @@ class Simulation {
   uint64_t NextDomainSeq(uint32_t domain);
   EventId Push(SimTime when, uint32_t domain, uint32_t stream, uint64_t seq,
                EventFn fn);
-  void Execute(const QueueEntry& top);
+  void Execute(const HeapEntry& top);
+
+  // Indexed-heap primitives; every move updates the slot's heap_pos.
+  void Place(size_t pos, const HeapEntry& entry) {
+    heap_[pos] = entry;
+    slots_[entry.slot].heap_pos = static_cast<uint32_t>(pos);
+  }
+  void SiftUp(size_t pos, HeapEntry entry);
+  void SiftDown(size_t pos, HeapEntry entry);
+  void RemoveAt(size_t pos);
 
   SimTime now_ = 0;
   uint64_t events_executed_ = 0;
-  size_t live_count_ = 0;
   // Domain the currently-executing event belongs to; inherited by events it
   // schedules without an explicit key. 0 between events.
   uint32_t current_domain_ = 0;
   // Per-domain FIFO counters; index 0 is the legacy global counter.
   std::vector<uint64_t> domain_seq_;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                      std::greater<QueueEntry>>
-      queue_;
+  std::vector<HeapEntry> heap_;
   std::vector<Slot> slots_;
   uint32_t free_head_ = kNoSlot;
   Rng rng_;

@@ -235,6 +235,44 @@ TEST_P(DeterminismTest, TracingDoesNotPerturbTheChaosWorkload) {
             RunChaosWorkload(GetParam(), /*traced=*/true));
 }
 
+// Golden fingerprints, recorded from the lazy-deletion binary-heap queue with
+// byte-at-a-time CRC-32 and the node-based dedup set. The tests above only
+// compare two runs of one binary, so a queue or wire-path rewrite that pops
+// one same-instant pair in a different order would still pass them; these
+// pin the values themselves. A change that moves one must explain why.
+struct PinnedDigests {
+  uint64_t seed;
+  uint64_t invocation;
+  uint64_t migration;
+  uint64_t checkpoint;
+  uint64_t chaos;
+};
+
+constexpr PinnedDigests kPinned[] = {
+    {1, 0xfaf69f2a81f6f537ull, 0xf9557cbb566ed0f0ull, 0x7a98c57297b5ee79ull,
+     0xbf5258e635ada16full},
+    {42, 0xbd2df8d8b3f7e724ull, 0x90fabc54012862bbull, 0xee776f6b586e05aaull,
+     0x64db497f98bba1c5ull},
+    {1981, 0x6fa924ab8a990233ull, 0xaa670ee79c80ee15ull, 0x3c1d492f874e9d92ull,
+     0xe299a61ee73eee85ull},
+    {0xede, 0x9a413ff1e0c82742ull, 0x2d614bfe0241e9e6ull, 0x0c547a342c990529ull,
+     0x9d6deb79d35bbf83ull},
+};
+
+TEST_P(DeterminismTest, WorkloadDigestsMatchPinnedValues) {
+  const PinnedDigests* pinned = nullptr;
+  for (const PinnedDigests& entry : kPinned) {
+    if (entry.seed == GetParam()) {
+      pinned = &entry;
+    }
+  }
+  ASSERT_NE(pinned, nullptr);
+  EXPECT_EQ(RunInvocationWorkload(GetParam()), pinned->invocation);
+  EXPECT_EQ(RunMigrationWorkload(GetParam()), pinned->migration);
+  EXPECT_EQ(RunCheckpointWorkload(GetParam()), pinned->checkpoint);
+  EXPECT_EQ(RunChaosWorkload(GetParam()), pinned->chaos);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DeterminismTest,
                          ::testing::Values(1, 42, 1981, 0xede));
 

@@ -317,6 +317,89 @@ TEST_F(TransportFixture, ZeroAckDelayAcksImmediately) {
   EXPECT_EQ(a.stats().retransmits, 0u);
 }
 
+// Builds a single-fragment reliable data frame in the transport's wire
+// format (kind, CRC-32 over the kind, the rest of the header and the body,
+// then msg id, reliable flag, fragment index and count, and an empty
+// piggybacked-ACK block), so a test can resend an exact message id.
+Frame DataFrame(StationId dst, uint64_t msg_id) {
+  BufferWriter rest;
+  rest.WriteU64(msg_id);
+  rest.WriteBool(true);
+  rest.WriteVarint(0);
+  rest.WriteVarint(1);
+  rest.WriteVarint(0);
+  SharedBytes body(ToBytes("m" + std::to_string(msg_id)));
+  uint8_t kind = 1;
+  uint32_t crc = Crc32Begin();
+  crc = Crc32Update(crc, &kind, 1);
+  crc = Crc32Update(crc, rest.buffer().data(), rest.size());
+  crc = Crc32Update(crc, body.data(), body.size());
+  BufferWriter header;
+  header.WriteU8(kind);
+  header.WriteU32(Crc32End(crc));
+  header.WriteRaw(rest.buffer().data(), rest.size());
+  Frame frame;
+  frame.dst = dst;
+  frame.header = header.Take();
+  frame.body = body;
+  return frame;
+}
+
+TEST_F(TransportFixture, DedupWindowHoldsEachPeersLastWDeliveries) {
+  TransportConfig config;
+  config.dedup_window = 4;
+  Transport b(sim_, lan_, config);
+  Station* peer = lan_.AttachStation();
+  Station* other = lan_.AttachStation();
+  std::vector<std::pair<StationId, std::string>> delivered;
+  b.SetHandler([&](StationId src, BytesView message) {
+    delivered.emplace_back(src, ToString(message));
+  });
+  // Sends one frame and runs to quiescence; true when b delivered it.
+  auto resend = [&](Station* from, uint64_t msg_id) {
+    size_t before = delivered.size();
+    from->Send(DataFrame(b.station_id(), msg_id));
+    sim_.Run();
+    return delivered.size() > before;
+  };
+
+  for (uint64_t id = 1; id <= 4; id++) {
+    EXPECT_TRUE(resend(peer, id));
+  }
+  // Window {1,2,3,4}: every id in it is suppressed (and re-ACKed).
+  for (uint64_t id = 1; id <= 4; id++) {
+    EXPECT_FALSE(resend(peer, id)) << id;
+  }
+  EXPECT_EQ(b.stats().duplicates_suppressed, 4u);
+  // 5 pushes 1 out of the window, so 1 is delivered again; that pushes out
+  // 2, which is delivered again in turn and pushes out 3.
+  EXPECT_TRUE(resend(peer, 5));
+  EXPECT_TRUE(resend(peer, 1));
+  EXPECT_TRUE(resend(peer, 2));
+  for (uint64_t id : {4, 5, 1, 2}) {  // window {4,5,1,2}
+    EXPECT_FALSE(resend(peer, id)) << id;
+  }
+  EXPECT_TRUE(resend(peer, 3));  // window {5,1,2,3}
+
+  // Peers are independent: `other` may use the same ids, and its deliveries
+  // never push `peer`'s ids out of `peer`'s window.
+  for (uint64_t id : {5, 1, 2, 3, 6, 7}) {
+    EXPECT_TRUE(resend(other, id)) << id;
+  }
+  for (uint64_t id : {5, 1, 2, 3}) {
+    EXPECT_FALSE(resend(peer, id)) << id;
+  }
+  EXPECT_FALSE(resend(other, 7));
+
+  // A reset node has no memory: every id is new again.
+  b.Reset();
+  EXPECT_TRUE(resend(peer, 3));
+  EXPECT_TRUE(resend(other, 7));
+  EXPECT_FALSE(resend(peer, 3));
+  EXPECT_EQ(delivered.front(), std::make_pair(peer->id(), std::string("m1")));
+  EXPECT_EQ(b.stats().messages_delivered, delivered.size());
+}
+
 TEST_F(TransportFixture, ResetDropsPendingState) {
   Transport a(sim_, lan_), b(sim_, lan_);
   lan_.DetachStation(b.station_id());

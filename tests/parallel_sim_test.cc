@@ -120,6 +120,21 @@ TEST(ParallelSim, DigestsMatchAcrossShardCounts) {
   }
 }
 
+// The comparisons above hold between layouts of one binary; this pins the
+// 2-shard per-node digests themselves (recorded from the lazy-deletion
+// binary-heap queue), so a queue rewrite that reorders pops in every layout
+// alike still fails.
+TEST(ParallelSim, ShardedDigestFoldIsPinned) {
+  ScenarioResult result = RunMixedScenario(3, 2, Microseconds(200));
+  Digest fold;
+  for (uint64_t digest : result.digests) {
+    fold.Mix(digest);
+  }
+  fold.Mix(result.completed);
+  fold.Mix(result.failed);
+  EXPECT_EQ(fold.value(), 0xcab9c3782b2fff12ull);
+}
+
 TEST(ParallelSim, DigestsMatchWithoutThinkTime) {
   // think == 0 keeps every client saturated: the densest tie pattern.
   ScenarioResult oracle = RunMixedScenario(29, 1, 0);

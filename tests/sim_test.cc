@@ -1,7 +1,13 @@
 // Unit tests for the discrete-event simulation core: clock, event queue,
-// cancellation, RNG determinism, and the coroutine task/future layer.
+// cancellation, RNG determinism, the coroutine task/future layer, and the
+// byte codec and CRC-32 beneath every wire frame.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <compare>
+#include <iterator>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -75,6 +81,151 @@ TEST(SimulationTest, EventsCanScheduleMoreEvents) {
   sim.Run();
   EXPECT_EQ(depth, 10);
   EXPECT_EQ(sim.now(), Milliseconds(9));
+}
+
+// Drives a Simulation with random Schedule / ScheduleAtKeyed / Cancel / Step
+// / RunUntil sequences and mirrors every operation in a reference ordered map
+// keyed by the canonical (when, domain, stream, seq) order. Every fired event
+// must be the reference's minimum, and the live count and next-event time
+// must agree after every operation, including inside callbacks.
+class QueueModel {
+ public:
+  explicit QueueModel(uint64_t seed) : rng_(seed) {}
+
+  void RunRandomOps(int ops) {
+    for (int i = 0; i < ops; i++) {
+      uint64_t pick = rng_.NextBelow(100);
+      if (pick < 35) {
+        ScheduleUnkeyed();
+      } else if (pick < 55) {
+        ScheduleKeyed();
+      } else if (pick < 65) {
+        CancelLive();
+      } else if (pick < 70) {
+        CancelDead();
+      } else if (pick < 73) {
+        sim_.Cancel(UnknownId());
+      } else if (pick < 95) {
+        bool has_event = !pending_.empty();
+        EXPECT_EQ(sim_.Step(), has_event);
+      } else {
+        sim_.RunUntil(sim_.now() + static_cast<SimDuration>(rng_.NextBelow(3)));
+      }
+      Check();
+    }
+    while (sim_.Step()) {
+      Check();
+    }
+    EXPECT_TRUE(pending_.empty());
+  }
+
+  uint64_t fired() const { return fired_; }
+
+ private:
+  struct Key {
+    SimTime when;
+    uint32_t domain;
+    uint32_t stream;
+    uint64_t seq;
+    auto operator<=>(const Key&) const = default;
+  };
+
+  void Check() {
+    ASSERT_EQ(sim_.pending_events(), pending_.size());
+    SimTime next =
+        pending_.empty() ? kSimTimeNever : pending_.begin()->first.when;
+    ASSERT_EQ(sim_.PeekNextEventTime(), next);
+  }
+
+  // Delays of 0..3 ns: most instants hold several events.
+  SimTime When() {
+    return sim_.now() + static_cast<SimDuration>(rng_.NextBelow(4));
+  }
+
+  // Unkeyed events inherit the running event's domain and draw its counter.
+  void ScheduleUnkeyed() {
+    Key key{When(), current_domain_, 0, domain_seq_[current_domain_]++};
+    pending_[key] = sim_.Schedule(key.when - sim_.now(), [this, key] { Fire(key); });
+  }
+
+  // Keyed events use streams 1..2, so their keys never collide with unkeyed
+  // ones (stream 0); seq is monotone per (domain, stream).
+  void ScheduleKeyed() {
+    uint32_t domain = static_cast<uint32_t>(rng_.NextBelow(3));
+    uint32_t stream = 1 + static_cast<uint32_t>(rng_.NextBelow(2));
+    Key key{When(), domain, stream, keyed_seq_[{domain, stream}]++};
+    pending_[key] = sim_.ScheduleAtKeyed(key.when, key.domain, key.stream,
+                                         key.seq, [this, key] { Fire(key); });
+  }
+
+  void CancelLive() {
+    if (pending_.empty()) {
+      return;
+    }
+    auto it = std::next(pending_.begin(),
+                        static_cast<long>(rng_.NextBelow(pending_.size())));
+    sim_.Cancel(it->second);
+    dead_.push_back(it->second);
+    pending_.erase(it);
+  }
+
+  // A fired or already-cancelled id: a no-op.
+  void CancelDead() {
+    if (!dead_.empty()) {
+      sim_.Cancel(dead_[rng_.NextBelow(dead_.size())]);
+    }
+  }
+
+  // Never issued: a slot index past the pool, or the invalid id.
+  EventId UnknownId() {
+    return rng_.NextBelow(2) == 0 ? kInvalidEventId
+                                  : (EventId{1} << 32) | 0x7fffffffu;
+  }
+
+  void Fire(const Key& key) {
+    ASSERT_FALSE(pending_.empty());
+    ASSERT_TRUE(pending_.begin()->first == key)
+        << "popped (" << key.when << "," << key.domain << "," << key.stream
+        << "," << key.seq << ") out of order";
+    EXPECT_EQ(sim_.now(), key.when);
+    EventId self = pending_.begin()->second;
+    pending_.erase(pending_.begin());
+    dead_.push_back(self);
+    fired_++;
+    Check();
+    current_domain_ = key.domain;
+    if (rng_.NextBelow(4) == 0) {
+      sim_.Cancel(self);  // already fired: a no-op
+      Check();
+    }
+    for (uint64_t n = rng_.NextBelow(3); n > 0; n--) {
+      CancelLive();
+      Check();
+    }
+    if (rng_.NextBelow(2) == 0) {
+      ScheduleUnkeyed();
+      Check();
+    }
+    current_domain_ = 0;
+  }
+
+  Simulation sim_;
+  Rng rng_;
+  std::map<Key, EventId> pending_;  // the reference queue, in pop order
+  std::vector<EventId> dead_;       // fired or cancelled ids
+  uint32_t current_domain_ = 0;
+  std::map<uint32_t, uint64_t> domain_seq_{{0, 1}, {1, 1}, {2, 1}};
+  std::map<std::pair<uint32_t, uint32_t>, uint64_t> keyed_seq_;
+  uint64_t fired_ = 0;
+};
+
+TEST(SimulationTest, QueueMatchesReferenceOrderUnderRandomCancels) {
+  for (uint64_t seed = 1; seed <= 20; seed++) {
+    SCOPED_TRACE(seed);
+    QueueModel model(seed);
+    model.RunRandomOps(3000);
+    EXPECT_GT(model.fired(), 500u);
+  }
 }
 
 TEST(RngTest, SameSeedSameSequence) {
@@ -262,6 +413,54 @@ TEST(BytesTest, MalformedVarintRejected) {
   Bytes evil(11, 0x80);  // continuation bits forever
   BufferReader reader(evil);
   EXPECT_FALSE(reader.ReadVarint().ok());
+}
+
+TEST(BytesTest, Crc32CheckValue) {
+  EXPECT_EQ(Crc32(ToBytes("123456789")), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+// Bit-serial reflected CRC-32 over one byte at a time: the definition the
+// table-driven code must reproduce.
+uint32_t ReferenceCrc32Update(uint32_t state, uint8_t byte) {
+  state ^= byte;
+  for (int bit = 0; bit < 8; bit++) {
+    state = (state >> 1) ^ ((state & 1u) ? 0xEDB88320u : 0u);
+  }
+  return state;
+}
+
+TEST(BytesTest, Crc32MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  constexpr size_t kMaxLength = 2048;
+  Rng rng(2048);
+  Bytes source(kMaxLength);
+  for (uint8_t& byte : source) {
+    byte = static_cast<uint8_t>(rng.NextU64());
+  }
+  Bytes buffer(kMaxLength + 8);
+  for (size_t align = 0; align < 8; align++) {
+    uint8_t* data = buffer.data() + align;
+    std::copy(source.begin(), source.end(), data);
+    uint32_t reference = Crc32Begin();  // state over data[0, length)
+    for (size_t length = 0; length <= kMaxLength; length++) {
+      if (length > 0) {
+        reference = ReferenceCrc32Update(reference, data[length - 1]);
+      }
+      uint32_t expected = Crc32End(reference);
+      ASSERT_EQ(Crc32(data, length), expected)
+          << "length " << length << ", alignment " << align;
+      // Three updates split at uneven points, so chunk boundaries land at
+      // every offset within an 8-byte step.
+      size_t first = length % 13;
+      size_t second = std::max(first, length - length % 11);
+      uint32_t state = Crc32Update(Crc32Begin(), data, first);
+      state = Crc32Update(state, data + first, second - first);
+      state = Crc32Update(state, data + second, length - second);
+      ASSERT_EQ(Crc32End(state), expected)
+          << "length " << length << ", alignment " << align << ", split "
+          << first << "/" << second;
+    }
+  }
 }
 
 TEST(StatusTest, MacrosPropagateErrors) {
