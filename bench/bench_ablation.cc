@@ -145,8 +145,8 @@ void BM_AblateReplyCache(benchmark::State& state) {
     // With the cache, value == ok_count (exactly-once). Without it, lost
     // replies make retransmitted requests execute again.
     state.counters["extra_executions"] = value - ok_count;
-    state.counters["duplicates_suppressed"] =
-        static_cast<double>(system.node(0).stats().duplicate_requests);
+    state.counters["duplicates_suppressed"] = static_cast<double>(
+        system.node(0).metrics().CounterValue("kernel.duplicate_requests"));
   }
 }
 BENCHMARK(BM_AblateReplyCache)->Arg(0)->Arg(4096)->UseManualTime()->Iterations(1);

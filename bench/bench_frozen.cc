@@ -74,8 +74,8 @@ void RunThroughput(benchmark::State& state, bool frozen) {
         static_cast<double>(reads) / ToSeconds(elapsed);
     state.counters["replica_reads"] = 0;
     for (size_t c = 0; c < clients; c++) {
-      state.counters["replica_reads"] +=
-          static_cast<double>(system->node(c + 1).stats().replica_reads);
+      state.counters["replica_reads"] += static_cast<double>(
+          system->node(c + 1).metrics().CounterValue("kernel.replica.reads"));
     }
   }
 }

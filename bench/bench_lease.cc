@@ -113,11 +113,11 @@ void BM_LeaseHotReadMix(benchmark::State& state) {
 
     state.PauseTiming();
     for (size_t n = 0; n < nodes; n++) {
-      const KernelStats& stats = system->node(n).stats();
-      local_reads += stats.lease_local_reads;
-      grants += stats.lease_grants;
-      recalls += stats.lease_recalls;
-      renewals += stats.lease_renewals;
+      const MetricsRegistry& m = system->node(n).metrics();
+      local_reads += m.CounterValue("kernel.lease.local_reads");
+      grants += m.CounterValue("kernel.lease.grants");
+      recalls += m.CounterValue("kernel.lease.recalls");
+      renewals += m.CounterValue("kernel.lease.renewals");
     }
     state.ResumeTiming();
   }
@@ -154,7 +154,7 @@ void BM_LeaseRecallWriteLatency(benchmark::State& state) {
     SimDuration elapsed = TimeAwait(
         *system, system->node(holders + 1).Invoke(*cap, "increment"));
     SetVirtualTime(state, elapsed, "lease.recall");
-    recalls += system->node(0).stats().lease_recalls;
+    recalls += system->node(0).metrics().CounterValue("kernel.lease.recalls");
   }
   state.counters["recalls"] = static_cast<double>(recalls);
 }

@@ -87,8 +87,8 @@ void BM_LocateCacheHit(benchmark::State& state) {
         TimeAwait(*system, system->node(2).Invoke(data, "size"));
     SetVirtualTime(state, elapsed);
   }
-  state.counters["cache_hits"] =
-      static_cast<double>(system->node(2).stats().locate_cache_hits);
+  state.counters["cache_hits"] = static_cast<double>(
+      system->node(2).metrics().CounterValue("kernel.locate.cache_hits"));
 }
 BENCHMARK(BM_LocateCacheHit)->UseManualTime();
 
@@ -111,7 +111,9 @@ void BM_LocateColdResolve(benchmark::State& state) {
     SimDuration elapsed = TimeAwait(*system, invoker.Invoke(data, "size"));
     SetVirtualTime(state, elapsed, series);
     frames += system->lan().stats().frames_delivered - frames_before;
-    queries += invoker.stats().locate_queries;
+    queries +=
+        invoker.metrics().CounterValue("kernel.locate.queries.broadcast") +
+        invoker.metrics().CounterValue("kernel.locate.queries.directory");
   }
   // Includes the invoke request/reply pair (constant in both modes), so the
   // broadcast-vs-directory gap is purely the locate round's fan-out.
@@ -178,10 +180,9 @@ void BM_LocateZipfChurn(benchmark::State& state) {
     state.PauseTiming();
     frames += system->lan().stats().frames_delivered - frames_before;
     for (size_t n = 0; n < nodes; n++) {
-      const KernelStats& stats = system->node(n).stats();
-      fallbacks +=
-          system->node(n).metrics().CounterValue("kernel.directory.fallbacks");
-      stale_forwards += stats.directory_stale_forwards;
+      const MetricsRegistry& m = system->node(n).metrics();
+      fallbacks += m.CounterValue("kernel.directory.fallbacks");
+      stale_forwards += m.CounterValue("kernel.directory.stale_forwards");
     }
     state.ResumeTiming();
   }

@@ -11,7 +11,9 @@
 //   * bench.iteration.virtual_time — one Histogram sample per timed
 //     iteration (every SetVirtualTime call), and
 //   * the full kernel/store/transport/lan rollup of every EdenSystem built
-//     through MakeBenchSystem (merged when the system is destroyed).
+//     through MakeBenchSystem (folded in when the system is destroyed:
+//     counters add and histograms merge across systems, while each gauge
+//     keeps the largest level any one system reported).
 // EDEN_BENCH_MAIN(name) then writes BENCH_<name>.json next to the binary
 // (override with --json=<path>) after the benchmarks run.
 #ifndef EDEN_BENCH_BENCH_UTIL_H_
@@ -19,6 +21,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -37,13 +40,32 @@ inline MetricsRegistry& BenchMetrics() {
   return registry;
 }
 
+// Folds one finished system's rollup into BenchMetrics(). A gauge is a level
+// within one installation, so summing it over every system a benchmark built
+// would report e.g. thousands of members; the largest level seen is kept.
+inline void FoldIntoBenchMetrics(const MetricsRegistry& rollup) {
+  MetricsRegistry& bench = BenchMetrics();
+  for (const auto& [name, counter] : rollup.counters()) {
+    bench.counter(name).Increment(counter->value());
+  }
+  for (const auto& [name, gauge] : rollup.gauges()) {
+    const Gauge* seen = bench.FindGauge(name);
+    int64_t level = seen == nullptr ? gauge->value()
+                                    : std::max(seen->value(), gauge->value());
+    bench.gauge(name).Set(level);
+  }
+  for (const auto& [name, histogram] : rollup.histograms()) {
+    bench.histogram(name).MergeFrom(*histogram);
+  }
+}
+
 // Deleter that folds the dying system's metrics rollup into BenchMetrics(),
 // so the exported JSON covers every system a benchmark built — including
 // the throwaway per-iteration ones in cold-path benchmarks.
 struct BenchSystemDeleter {
   void operator()(EdenSystem* system) const {
     if (system != nullptr) {
-      BenchMetrics().MergeFrom(system->Rollup());
+      FoldIntoBenchMetrics(system->Rollup());
       delete system;
     }
   }
@@ -57,7 +79,7 @@ struct MetricsExportScope {
   explicit MetricsExportScope(EdenSystem& system) : system_(system) {}
   MetricsExportScope(const MetricsExportScope&) = delete;
   MetricsExportScope& operator=(const MetricsExportScope&) = delete;
-  ~MetricsExportScope() { BenchMetrics().MergeFrom(system_.Rollup()); }
+  ~MetricsExportScope() { FoldIntoBenchMetrics(system_.Rollup()); }
 
  private:
   EdenSystem& system_;

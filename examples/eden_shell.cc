@@ -12,7 +12,7 @@
 //   checkpoint <name>               force a checkpoint
 //   fail <node> / restart <node>    node failure injection
 //   where <name>                    locate an object
-//   trace                           dump recent kernel events
+//   trace                           kernel event counts + slowest traces
 //
 //   $ ./eden_shell
 #include <cstdio>
@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "src/kernel/eden_system.h"
-#include "src/trace/trace.h"
+#include "src/trace/span.h"
 #include "src/types/standard_types.h"
 
 using namespace eden;
@@ -29,8 +29,7 @@ namespace {
 
 class EdenShell {
  public:
-  EdenShell(EdenSystem& system, TraceBuffer& trace)
-      : system_(system), trace_(trace) {
+  explicit EdenShell(EdenSystem& system) : system_(system) {
     directory_ = *system_.node(0).CreateObject("std.directory", Representation{});
   }
 
@@ -78,8 +77,7 @@ class EdenShell {
       return Where(args[0]);
     }
     if (command == "trace") {
-      std::printf("%s", trace_.Summary().c_str());
-      return OkStatus();
+      return Trace();
     }
     return InvalidArgumentError("unknown command or bad arity: " + command);
   }
@@ -163,9 +161,23 @@ class EdenShell {
     return OkStatus();
   }
 
+  // The registry counts every kernel event kind; the spans time them.
+  Status Trace() {
+    MetricsRegistry rollup = system_.Rollup();
+    for (const auto& [name, counter] : rollup.counters()) {
+      if (name.rfind("kernel.", 0) == 0 && counter->value() > 0) {
+        std::printf("  %-36s x%llu\n", name.c_str(),
+                    static_cast<unsigned long long>(counter->value()));
+      }
+    }
+    if (const SpanCollector* spans = system_.span_collector()) {
+      std::printf("%s", spans->DumpSlowTraces().c_str());
+    }
+    return OkStatus();
+  }
+
   EdenSystem& system_;
   Capability directory_;
-  TraceBuffer& trace_;
   size_t next_node_ = 1;
 };
 
@@ -173,13 +185,12 @@ class EdenShell {
 
 int main() {
   std::printf("=== eden_shell: scripted operator session ===\n\n");
+  SpanCollector spans;  // declared first: it must outlive the system
   EdenSystem system;
   RegisterStandardTypes(system);
-  TraceBuffer trace;
-  for (int i = 0; i < 5; i++) {
-    system.AddNode("node" + std::to_string(i)).WithTrace(&trace);
-  }
-  EdenShell shell(system, trace);
+  system.set_span_collector(&spans);
+  system.AddNodes(5);
+  EdenShell shell(system);
 
   const char* script[] = {
       "create hits std.counter",

@@ -117,13 +117,15 @@ int main() {
 
   for (size_t n = 1; n < system.node_count(); n++) {
     // First read is remote and triggers a background replica fetch...
-    uint64_t remote_before = system.node(n).stats().invocations_remote;
+    uint64_t remote_before =
+        system.node(n).metrics().CounterValue("kernel.invoke.remote");
     system.Await(system.node(n).Invoke(*compiler, "get"));
     system.RunFor(Milliseconds(200));  // replica fetch completes
     // ...every later read is served locally.
     system.Await(system.node(n).Invoke(*compiler, "get"));
     system.Await(system.node(n).Invoke(*compiler, "get"));
-    uint64_t remote_after = system.node(n).stats().invocations_remote;
+    uint64_t remote_after =
+        system.node(n).metrics().CounterValue("kernel.invoke.remote");
     std::printf("   node%zu: replica cached=%s, remote invocations for 3 reads: %llu\n",
                 n, system.node(n).HasReplica(compiler->name()) ? "yes" : "no",
                 static_cast<unsigned long long>(remote_after - remote_before));

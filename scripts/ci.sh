@@ -8,63 +8,22 @@
 #   3. Smoke-run the storage benchmark (--quick) so the perf harness itself
 #      stays green; the JSON export lands in the asan build dir and is
 #      discarded.
-#   4. Chaos smoke: re-run the seeded fault-matrix shard on its own, then run
-#      bench_chaos --quick and gate its recovery/availability histograms
-#      against the committed baseline (bench/baselines/BENCH_bench_chaos.json;
-#      virtual-time metrics, so the comparison is machine-independent).
-#      Regenerate the baseline with
-#        build/bench/bench_chaos --quick --json=bench/baselines/BENCH_bench_chaos.json
-#      when a change intentionally moves recovery latency.
-#   5. Tracing smoke: run trace_test under the ASan tree on its own (the span
-#      collector is the newest lifetime-heavy code), then bench_tracing
-#      --quick gated against bench/baselines/BENCH_bench_tracing.json. The
-#      gated histograms are invocations-per-segment with tracing off/on —
-#      virtual-time counts that the determinism suite pins to be identical
-#      with and without a collector, so any drift means the tracing layer
-#      started doing simulated work (the "disabled overhead" contract).
-#      Regenerate with
-#        build/bench/bench_tracing --quick --json=bench/baselines/BENCH_bench_tracing.json
-#      when the workload itself intentionally changes.
-#   6. Location smoke: run location_test under the ASan tree on its own (the
-#      directory backend is the newest kernel code), then bench_location
-#      --quick gated against bench/baselines/BENCH_bench_location.json. The
-#      gated histograms are the cold-resolve and Zipf-churn virtual-time
-#      series for both backends — the broadcast-vs-directory ablation of
-#      EXPERIMENTS.md E15. Regenerate with
-#        build/bench/bench_location --quick --json=bench/baselines/BENCH_bench_location.json
-#      when locate behavior intentionally changes.
-#   7. Lease smoke: run lease_test under the ASan tree on its own (the lease
-#      cache and recall coroutine paths are the newest lifetime-heavy kernel
-#      code), then bench_lease --quick gated against
-#      bench/baselines/BENCH_bench_lease.json. The gated histograms are the
-#      hot-object read-mix virtual-time series with leases off/on plus the
-#      recall round — the caching win and its write-side cost from
-#      EXPERIMENTS.md E17. Regenerate with
-#        build/bench/bench_lease --quick --json=bench/baselines/BENCH_bench_lease.json
-#      when lease behavior intentionally changes.
-#   8. Membership smoke: run membership_test under the ASan tree on its own
-#      (the drain/rebalance coroutines and the directory handoff path are the
-#      newest lifetime-heavy kernel code), re-run the seeded rolling-restart
-#      chaos case on the fast build (zero lost/duplicated invocations under
-#      wire faults, bit-identical across two same-seed runs), then
-#      bench_membership --quick gated against
-#      bench/baselines/BENCH_bench_membership.json. The gated histograms are
-#      drain evacuation time and the steady-state vs rolling-restart workload
-#      p99 — the SLO numbers of EXPERIMENTS.md E18. Regenerate with
-#        build/bench/bench_membership --quick --json=bench/baselines/BENCH_bench_membership.json
-#      when drain pacing or restart behavior intentionally changes.
-#   9. Telemetry smoke: run telemetry_test under the ASan tree on its own
-#      (the scrape chain, SLO engine and bundle builder are the newest
-#      lifetime-heavy code), re-run the seeded chaos flight-recorder case on
-#      the fast build (a fault storm under closed-loop traffic must produce
-#      byte-identical diagnostic bundles across two same-seed runs), then
-#      bench_observability --quick gated against
-#      bench/baselines/BENCH_bench_observability.json. The gated histograms
-#      are invocations-per-segment with telemetry off/on (identical by the
-#      zero-perturbation contract) plus the window-export and bundle document
-#      sizes (deterministic virtual-metrics documents). Regenerate with
-#        build/bench/bench_observability --quick --json=bench/baselines/BENCH_bench_observability.json
-#      when the export schema intentionally changes.
+#   4-9. Gated smoke steps, one row each in the table below. A row runs its
+#      suite on its own under the ASan tree when it names one, re-runs a
+#      seeded chaos case on the fast build when it names one, then runs its
+#      bench --quick and gates the export against
+#      bench/baselines/BENCH_<bench>.json with perf_compare.py --gate 10 (a
+#      histogram mean or p99 that grew by more than 10% fails). The gated
+#      histograms are virtual-time, so the gate is machine-independent.
+#      Regenerate a baseline with
+#        build/bench/<bench> --quick --json=bench/baselines/BENCH_<bench>.json
+#      when the behaviour it gates intentionally changes. Why each row:
+#        chaos       recovery latency and availability under the seeded fault matrix (E13)
+#        tracing     a span collector must add no simulated work (E14)
+#        location    broadcast vs directory cold-resolve and Zipf-churn series (E15)
+#        lease       hot-object read mix with leases off/on, plus the recall round (E17)
+#        membership  drain evacuation and rolling-restart p99, zero lost invocations (E18)
+#        telemetry   telemetry must add no simulated work; bundles are byte-identical (E19)
 #  10. Parallel-engine smoke: build the sharded-engine determinism suite under
 #      TSan at build-tsan and run it (the threaded RunUntil windows, the SPSC
 #      channels and the horizon protocol are the only concurrent code in the
@@ -101,58 +60,28 @@ echo "== bench smoke (storage fast path) =="
 "$repo_root/build/bench/bench_storage" --quick \
   --json="$repo_root/build/BENCH_bench_storage_smoke.json"
 
-echo "== chaos smoke (fault matrix + recovery-latency gate) =="
-"$repo_root/build/tests/fault_test" \
-  --gtest_filter='Storms/FaultMatrix.*:FaultDeterminism.*'
-"$repo_root/build/bench/bench_chaos" --quick \
-  --json="$repo_root/build/BENCH_bench_chaos.json"
-"$repo_root/scripts/perf_compare.py" \
-  "$repo_root/bench/baselines/BENCH_bench_chaos.json" \
-  "$repo_root/build/BENCH_bench_chaos.json" --gate 10
-
-echo "== tracing smoke (span suite under ASan + disabled-overhead gate) =="
-"$repo_root/build-asan/tests/trace_test"
-"$repo_root/build/bench/bench_tracing" --quick \
-  --json="$repo_root/build/BENCH_bench_tracing.json"
-"$repo_root/scripts/perf_compare.py" \
-  "$repo_root/bench/baselines/BENCH_bench_tracing.json" \
-  "$repo_root/build/BENCH_bench_tracing.json" --gate 10
-
-echo "== location smoke (directory backend under ASan + scaling gate) =="
-"$repo_root/build-asan/tests/location_test"
-"$repo_root/build/bench/bench_location" --quick \
-  --json="$repo_root/build/BENCH_bench_location.json"
-"$repo_root/scripts/perf_compare.py" \
-  "$repo_root/bench/baselines/BENCH_bench_location.json" \
-  "$repo_root/build/BENCH_bench_location.json" --gate 10
-
-echo "== lease smoke (read-cache suite under ASan + throughput gate) =="
-"$repo_root/build-asan/tests/lease_test"
-"$repo_root/build/bench/bench_lease" --quick \
-  --json="$repo_root/build/BENCH_bench_lease.json"
-"$repo_root/scripts/perf_compare.py" \
-  "$repo_root/bench/baselines/BENCH_bench_lease.json" \
-  "$repo_root/build/BENCH_bench_lease.json" --gate 10
-
-echo "== membership smoke (elastic membership under ASan + restart-SLO gate) =="
-"$repo_root/build-asan/tests/membership_test"
-"$repo_root/build/tests/membership_test" \
-  --gtest_filter='RollingRestartChaos.*'
-"$repo_root/build/bench/bench_membership" --quick \
-  --json="$repo_root/build/BENCH_bench_membership.json"
-"$repo_root/scripts/perf_compare.py" \
-  "$repo_root/bench/baselines/BENCH_bench_membership.json" \
-  "$repo_root/build/BENCH_bench_membership.json" --gate 10
-
-echo "== telemetry smoke (pipeline under ASan + flight-recorder gate) =="
-"$repo_root/build-asan/tests/telemetry_test"
-"$repo_root/build/tests/telemetry_test" \
-  --gtest_filter='TelemetryChaos.*'
-"$repo_root/build/bench/bench_observability" --quick \
-  --json="$repo_root/build/BENCH_bench_observability.json"
-"$repo_root/scripts/perf_compare.py" \
-  "$repo_root/bench/baselines/BENCH_bench_observability.json" \
-  "$repo_root/build/BENCH_bench_observability.json" --gate 10
+# Steps 4-9: banner | ASan test | fast-build test | its gtest filter | bench
+while IFS='|' read -r banner asan_test fast_test fast_filter bench <&3; do
+  echo "== $banner =="
+  if [ -n "$asan_test" ]; then
+    "$repo_root/build-asan/tests/$asan_test"
+  fi
+  if [ -n "$fast_test" ]; then
+    "$repo_root/build/tests/$fast_test" --gtest_filter="$fast_filter"
+  fi
+  "$repo_root/build/bench/$bench" --quick \
+    --json="$repo_root/build/BENCH_$bench.json"
+  "$repo_root/scripts/perf_compare.py" \
+    "$repo_root/bench/baselines/BENCH_$bench.json" \
+    "$repo_root/build/BENCH_$bench.json" --gate 10
+done 3<<'EOF'
+chaos smoke (fault matrix + recovery-latency gate)||fault_test|Storms/FaultMatrix.*:FaultDeterminism.*|bench_chaos
+tracing smoke (span suite under ASan + disabled-overhead gate)|trace_test|||bench_tracing
+location smoke (directory backend under ASan + scaling gate)|location_test|||bench_location
+lease smoke (read-cache suite under ASan + throughput gate)|lease_test|||bench_lease
+membership smoke (elastic membership under ASan + restart-SLO gate)|membership_test|membership_test|RollingRestartChaos.*|bench_membership
+telemetry smoke (pipeline under ASan + flight-recorder gate)|telemetry_test|telemetry_test|TelemetryChaos.*|bench_observability
+EOF
 
 echo "== TSan build + parallel determinism suite =="
 cmake -B "$repo_root/build-tsan" -S "$repo_root" \

@@ -136,7 +136,7 @@ class FaultInjector : public WireFaultHook {
   // Optional narration: called once per injected fault with a short kind tag
   // ("wire.corrupt", "disk.torn", "node.fail", ...) and the affected station
   // or node (kNoFaultSite when not applicable). EdenSystem routes this into
-  // the trace buffer.
+  // Telemetry::OnFault, which keys flight-recorder bundles off it.
   static constexpr uint32_t kNoFaultSite = 0xffffffffu;
   using EventSink = std::function<void(const char* kind, uint32_t site)>;
   void set_event_sink(EventSink sink) { sink_ = std::move(sink); }

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/log.h"
-#include "src/trace/trace.h"
 
 namespace eden {
 
@@ -28,17 +27,6 @@ Telemetry& EdenSystem::EnableTelemetry() {
   }
   telemetry_->Start();
   return *telemetry_;
-}
-
-void EdenSystem::MeterTrace(TraceBuffer* trace) {
-  // Under the sharded engine a node's buffer is written from its shard's
-  // thread; mirroring into the shared system registry there would race.
-  if (engine_ != nullptr) {
-    return;
-  }
-  if (trace != nullptr && metered_traces_.insert(trace).second) {
-    trace->set_metrics(&metrics_);
-  }
 }
 
 EdenSystem& EdenSystem::WithShards(size_t n) {
@@ -101,10 +89,6 @@ NodeKernel& NodeBuilder::Build() {
   if (node_ == nullptr) {
     node_ = &system_->AddNodeWithConfig(name_, kernel_, disk_, transport_,
                                         shard_);
-    if (trace_ != nullptr) {
-      node_->set_trace(trace_);
-      system_->MeterTrace(trace_);
-    }
   }
   return *node_;
 }
@@ -198,7 +182,7 @@ void EdenSystem::MergeSpans() {
   }
 }
 
-void EdenSystem::EnableFaults(const FaultPlan& plan, TraceBuffer* trace) {
+void EdenSystem::EnableFaults(const FaultPlan& plan) {
   if (engine_ != nullptr) {
     FatalError(
         "EnableFaults: fault injection requires the single-threaded CSMA "
@@ -208,18 +192,9 @@ void EdenSystem::EnableFaults(const FaultPlan& plan, TraceBuffer* trace) {
   fault_injector_ = std::make_unique<FaultInjector>(sim_, plan);
   FaultInjector* injector = fault_injector_.get();
   injector->set_metrics(&metrics_);
-  MeterTrace(trace);
-  // Always install the sink: the flight recorder keys diagnostic bundles off
-  // injected faults whether or not a flat trace buffer is attached.
-  injector->set_event_sink([this, trace](const char* kind, uint32_t site) {
-    if (trace != nullptr) {
-      TraceEvent event;
-      event.when = sim_.now();
-      event.kind = TraceEventKind::kFaultInjected;
-      event.node = site == FaultInjector::kNoFaultSite ? 0 : site;
-      event.detail = kind;
-      trace->Record(std::move(event));
-    }
+  // Always install the sink: telemetry may be enabled after the faults are,
+  // and the flight recorder keys diagnostic bundles off injected faults.
+  injector->set_event_sink([this](const char* kind, uint32_t site) {
     if (telemetry_ != nullptr) {
       telemetry_->OnFault(kind, site);
     }

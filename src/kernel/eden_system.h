@@ -30,7 +30,6 @@
 namespace eden {
 
 class EdenSystem;
-class TraceBuffer;
 
 // Elastic membership (DESIGN.md §16): how joins warm up, how drains pace
 // themselves, and which placement policy assigns homes and move targets.
@@ -68,8 +67,7 @@ struct SystemConfig {
 // Fluent per-node configuration, returned by EdenSystem::AddNode:
 //
 //   NodeKernel& server = system.AddNode("fileserver")
-//                            .WithDisk(big_disk)
-//                            .WithTrace(&trace);
+//                            .WithDisk(big_disk);
 //
 // Each With* overrides the system-wide default from SystemConfig for this
 // node only. The node is created when Build() runs — explicitly, via the
@@ -109,10 +107,6 @@ class NodeBuilder {
     kernel_.locate = locate;
     return *this;
   }
-  NodeBuilder& WithTrace(TraceBuffer* trace) {
-    trace_ = trace;
-    return *this;
-  }
   // Pins this node to a specific shard (sharded systems only; the default is
   // round-robin placement).
   NodeBuilder& WithShard(uint32_t shard) {
@@ -133,7 +127,6 @@ class NodeBuilder {
   KernelConfig kernel_;
   DiskConfig disk_;
   TransportConfig transport_;
-  TraceBuffer* trace_ = nullptr;
   int shard_ = -1;  // -1 = auto placement
   NodeKernel* node_ = nullptr;
 };
@@ -192,10 +185,10 @@ class EdenSystem {
   // Arms `plan`: installs the injector's wire hook on the Lan and its disk
   // hooks on every node's stable store (nodes added later are hooked as they
   // are built), schedules the plan's partition and crash-restart timelines,
-  // and mirrors injected-fault counts into metrics() under fault.*. With a
-  // trace buffer, every injected fault is also recorded as a kFaultInjected
-  // event, interleaved with the recoveries it provokes. Call at most once.
-  void EnableFaults(const FaultPlan& plan, TraceBuffer* trace = nullptr);
+  // and mirrors injected-fault counts into metrics() under fault.*. Every
+  // injected fault is also reported to the telemetry flight recorder, when
+  // telemetry is on. Call at most once.
+  void EnableFaults(const FaultPlan& plan);
   FaultInjector* faults() { return fault_injector_.get(); }
 
   // --- Always-on telemetry (DESIGN.md §17) -----------------------------------
@@ -209,15 +202,6 @@ class EdenSystem {
   // Null until EnableTelemetry has run.
   Telemetry* telemetry() { return telemetry_.get(); }
   const Telemetry* telemetry() const { return telemetry_.get(); }
-
-  // Mirrors `trace`'s occupancy (trace.buffer.recorded/dropped counters,
-  // high_water/size gauges) into the system registry, so flat-event-buffer
-  // loss shows up in Rollup()/MetricsJson(). Idempotent per buffer; called
-  // automatically for buffers passed to NodeBuilder::WithTrace and
-  // EnableFaults. The buffer must outlive this system. No-op under the
-  // sharded engine (the buffer would be written from a shard thread, and the
-  // mirror would race on the shared system registry).
-  void MeterTrace(TraceBuffer* trace);
 
   // --- Causal tracing (DESIGN.md §12) ----------------------------------------
   // Attaches one shared SpanCollector to every node kernel (present and
@@ -379,8 +363,6 @@ class EdenSystem {
   std::vector<std::unique_ptr<MetricsRegistry>> shard_span_metrics_;
   std::unique_ptr<FaultInjector> fault_injector_;
   std::unique_ptr<Telemetry> telemetry_;
-  // Buffers already wired into metrics_ (MeterTrace is idempotent).
-  std::set<TraceBuffer*> metered_traces_;
   SpanCollector* span_collector_ = nullptr;
   std::vector<std::unique_ptr<NodeKernel>> nodes_;
   std::map<std::string, std::shared_ptr<TypeManager>> types_;

@@ -25,8 +25,8 @@ struct InvokeOptions {
   // End-to-end deadline for the invocation; 0 selects the kernel default
   // (KernelConfig::default_invoke_timeout).
   SimDuration timeout = 0;
-  // Free-form label appended to the INVOKE_START trace event, for picking
-  // one logical request stream out of a busy trace.
+  // Labels the invocation's kInvocation span in place of the operation
+  // name, for picking one logical request stream out of a busy trace.
   std::string trace_label;
   // Operation class for latency accounting: when set, the completion latency
   // is additionally recorded under kernel.invoke.latency.class.<name> in the

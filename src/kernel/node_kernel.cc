@@ -134,40 +134,6 @@ void NodeKernel::InitMetrics() {
   checkpoint_latency_ = &metrics_.histogram("kernel.checkpoint.latency");
 }
 
-KernelStats NodeKernel::stats() const {
-  KernelStats s;
-  s.invocations_started = counters_.invocations_started->value();
-  s.invocations_local = counters_.invocations_local->value();
-  s.invocations_remote = counters_.invocations_remote->value();
-  s.invocations_completed = counters_.invocations_completed->value();
-  s.invocations_timed_out = counters_.invocations_timed_out->value();
-  s.invocations_unavailable = counters_.invocations_unavailable->value();
-  s.dispatches = counters_.dispatches->value();
-  s.rights_denied = counters_.rights_denied->value();
-  s.queue_refusals = counters_.queue_refusals->value();
-  s.locate_queries = counters_.locate_queries_broadcast->value() +
-                     counters_.locate_queries_directory->value();
-  s.locate_broadcasts = counters_.locate_queries_broadcast->value();
-  s.locate_cache_hits = counters_.locate_cache_hits->value();
-  s.directory_updates = counters_.directory_updates->value();
-  s.directory_stale_forwards = counters_.directory_stale_forwards->value();
-  s.redirects_followed = counters_.redirects_followed->value();
-  s.activations = counters_.activations->value();
-  s.checkpoints = counters_.checkpoints->value();
-  s.crashes = counters_.crashes->value();
-  s.moves_out = counters_.moves_out->value();
-  s.moves_in = counters_.moves_in->value();
-  s.replica_fetches = counters_.replica_fetches->value();
-  s.replica_reads = counters_.replica_reads->value();
-  s.duplicate_requests = counters_.duplicate_requests->value();
-  s.lease_grants = counters_.lease_grants->value();
-  s.lease_recalls = counters_.lease_recalls->value();
-  s.lease_renewals = counters_.lease_renewals->value();
-  s.lease_expiries = counters_.lease_expiries->value();
-  s.lease_local_reads = counters_.lease_local_reads->value();
-  return s;
-}
-
 void NodeKernel::RecordInvocationLatency(const PendingInvocation& pending,
                                          bool ok) {
   SimDuration elapsed = sim().now() - pending.started;
@@ -232,7 +198,6 @@ void NodeKernel::ReportPeerAlive(StationId peer) {
   }
   if (it->second.mode == PeerState::Mode::kSuspect) {
     counters_.peer_recoveries->Increment();
-    Trace(TraceEventKind::kPeerRecovered, ObjectName::Null(), peer);
   }
   sim().Cancel(it->second.probe_timer);
   peers_.erase(it);
@@ -252,7 +217,6 @@ void NodeKernel::ReportPeerFailure(StationId peer) {
     state.mode = PeerState::Mode::kSuspect;
     state.probes_sent = 0;
     counters_.peer_suspects->Increment();
-    Trace(TraceEventKind::kPeerSuspect, ObjectName::Null(), peer);
   }
   // Suspect (newly or still): keep exactly one probe pending. The failure
   // that lands here may itself be a probe's give-up, which is what walks the
@@ -285,7 +249,6 @@ void NodeKernel::SendPeerProbe(StationId peer) {
   it->second.probe_timer = kInvalidEventId;
   it->second.probes_sent++;
   counters_.peer_probes->Increment();
-  Trace(TraceEventKind::kPeerProbe, ObjectName::Null(), peer);
   // The transport outcome resolves the probe: an ack reports the peer alive
   // (clearing the suspicion), a give-up reports another failure (scheduling
   // the next, further-backed-off probe).
@@ -353,8 +316,6 @@ uint64_t NodeKernel::StartInvocation(const Capability& target,
     return id;
   }
   counters_.invocations_started->Increment();
-  Trace(TraceEventKind::kInvokeStart, target.name(), id,
-        options.trace_label.empty() ? op : op + " [" + options.trace_label + "]");
   PendingInvocation& pending = pending_invocations_[id];
   pending.promise = std::move(promise);
   pending.target = target;
@@ -759,8 +720,6 @@ void NodeKernel::CompleteInvocation(uint64_t id, InvokeResult result) {
   }
   sim().Cancel(it->second.user_timer);
   sim().Cancel(it->second.attempt_timer);
-  Trace(TraceEventKind::kInvokeComplete, it->second.target.name(), id,
-        std::string(StatusCodeName(result.status.code())));
   EndSpan(it->second.span,
           result.status.ok()
               ? std::string()
@@ -1078,8 +1037,6 @@ void NodeKernel::HandleInvokeRedirect(StationId src, const InvokeRedirectMsg& ms
     return;
   }
   counters_.redirects_followed->Increment();
-  Trace(TraceEventKind::kRedirectFollowed, msg.name, msg.invocation_id,
-        "to station " + std::to_string(msg.new_host));
   AnnotateSpan(pending.span, "redirect from host " + std::to_string(src) +
                                  " to host " + std::to_string(msg.new_host));
   // Merge the version-stamped hint; if the cache already holds a strictly
@@ -1238,8 +1195,6 @@ void NodeKernel::AcceptDispatch(const std::shared_ptr<ActiveObject>& object,
 DetachedTask NodeKernel::RunInvocation(std::shared_ptr<ActiveObject> object,
                                        PendingDispatch d, const OperationSpec* op) {
   size_t class_index = op->invocation_class;
-  Trace(TraceEventKind::kDispatch, object->name, d.request.invocation_id,
-        d.request.operation);
   // Coordinator overhead: rights were checked, now build the process.
   co_await SleepFor(sim(), config_.dispatch_overhead);
   if (!object->core->alive) {
@@ -1387,7 +1342,6 @@ uint64_t NodeKernel::MaybeGrantLease(const std::shared_ptr<ActiveObject>& object
   uint64_t seq = ++object->lease_seq;
   object->lease_holders[reader] = {expiry, seq};
   counters_.lease_grants->Increment();
-  Trace(TraceEventKind::kLeaseGrant, object->name, reader);
   LeaseGrantMsg grant;
   grant.name = object->name;
   grant.type_name = object->type->name();
@@ -1430,8 +1384,6 @@ bool NodeKernel::LeaseWriteBlocked(const std::shared_ptr<ActiveObject>& object) 
 void NodeKernel::OpenLeaseRecall(const std::shared_ptr<ActiveObject>& object,
                                  const SpanContext& parent) {
   counters_.lease_recalls->Increment();
-  Trace(TraceEventKind::kLeaseRecall, object->name,
-        object->lease_holders.size());
   ActiveObject::LeaseRecall recall;
   recall.epoch = object->location_epoch;
   // The recall's seq outranks every grant issued so far, so a holder's floor
@@ -1580,7 +1532,6 @@ void NodeKernel::HandleLeaseGrant(StationId src, LeaseGrantMsg msg) {
   // so a leased copy can only ever serve read-class invocations.
   replica->frozen = true;
   replica->is_replica = true;
-  Trace(TraceEventKind::kLeaseGrant, msg.name, src);
   LeaseEntry entry;
   entry.replica = std::move(replica);
   entry.expiry = static_cast<SimTime>(msg.expiry);
@@ -1591,7 +1542,6 @@ void NodeKernel::HandleLeaseGrant(StationId src, LeaseGrantMsg msg) {
 }
 
 void NodeKernel::HandleLeaseRecall(StationId src, const LeaseRecallMsg& msg) {
-  Trace(TraceEventKind::kLeaseRecall, msg.name, src);
   std::pair<uint64_t, uint64_t> version{msg.epoch, msg.seq};
   auto& floor = lease_floor_[msg.name];
   floor = std::max(floor, version);
@@ -1657,7 +1607,6 @@ void NodeKernel::BeginActivation(const ObjectName& name,
 
 DetachedTask NodeKernel::RunActivation(ObjectName name, SpanContext parent) {
   counters_.activations->Increment();
-  Trace(TraceEventKind::kActivation, name, 0);
   SpanContext act_span =
       ChildSpan(parent, SpanKind::kActivation, name, "activation");
   co_await SleepFor(sim(), config_.activation_overhead);
@@ -1716,7 +1665,6 @@ DetachedTask NodeKernel::RunActivation(ObjectName name, SpanContext parent) {
         if (!chain.corrupt) {
           complete = true;
           counters_.restore_fallbacks->Increment();
-          Trace(TraceEventKind::kFallbackRestore, name, 0, "mirror");
         }
       } else if (reread.code() != StatusCode::kNotFound) {
         restored = reread;
@@ -1728,8 +1676,6 @@ DetachedTask NodeKernel::RunActivation(ObjectName name, SpanContext parent) {
     if (!complete && restored.ok() && chain.prefix_ok && chain.corrupt_at >= 1) {
       EraseDeltaChain(name, /*is_mirror=*/false, chain.corrupt_at);
       counters_.restore_fallbacks->Increment();
-      Trace(TraceEventKind::kFallbackRestore, name, 0,
-            "prefix@" + std::to_string(chain.corrupt_at));
       AnnotateSpan(act_span,
                    "fallback:prefix@" + std::to_string(chain.corrupt_at));
       complete = true;
@@ -1962,7 +1908,6 @@ Future<Status> NodeKernel::CheckpointForObject(
     return ReadyStatus(FailedPreconditionError("replicas do not checkpoint"));
   }
   counters_.checkpoints->Increment();
-  Trace(TraceEventKind::kCheckpoint, object->name, 0);
 
   // No-op checkpoint: nothing was dirtied since the last record was cut and
   // the policy/frozen flag it captured still hold, so the durable chain
@@ -2191,7 +2136,6 @@ void NodeKernel::CrashObject(const std::shared_ptr<ActiveObject>& object,
     return;
   }
   counters_.crashes->Increment();
-  Trace(TraceEventKind::kObjectCrash, object->name, 0, reason.ToString());
   object->core->Fail(reason);
 
   // Refuse everything that was waiting; running invocations reply on their own.
@@ -2401,8 +2345,6 @@ DetachedTask NodeKernel::RunMove(std::shared_ptr<ActiveObject> object,
       });
 
   counters_.moves_out->Increment();
-  Trace(TraceEventKind::kMoveOut, object->name, transfer_id,
-        "to station " + std::to_string(destination));
   sim().Schedule(SerializeCost(encoded.size()),
                  [this, destination, span = move_span,
                   encoded = std::move(encoded)]() mutable {
@@ -2448,8 +2390,6 @@ void NodeKernel::HandleMoveTransfer(StationId src, MoveTransferMsg msg) {
   // Home-side authority supersedes any read lease this node held as a client.
   lease_cache_.erase(msg.name);
   counters_.moves_in->Increment();
-  Trace(TraceEventKind::kMoveIn, msg.name, msg.transfer_id,
-        "from station " + std::to_string(msg.source));
   // Install the carried at-most-once replies before any retry can land here.
   for (const auto& carried : msg.cached_replies) {
     if (reply_cache_.count(carried.invocation_id) == 0) {
@@ -2630,7 +2570,9 @@ void NodeKernel::FailNode() {
     return;
   }
   failed_ = true;
-  Trace(TraceEventKind::kNodeFailure, ObjectName::Null(), 0);
+  // Created on first use (as is kernel.node.restarts), so only a run that
+  // fails a node carries these counters.
+  metrics_.counter("kernel.node.failures").Increment();
   system_.lan().DetachStation(station());
   transport_->Reset();
 
@@ -2730,7 +2672,7 @@ void NodeKernel::RestartNode() {
     return;
   }
   failed_ = false;
-  Trace(TraceEventKind::kNodeRestart, ObjectName::Null(), 0);
+  metrics_.counter("kernel.node.restarts").Increment();
   system_.lan().ReattachStation(station());
 
   // Proactive directory repair (DESIGN.md §13): scan the stable store for

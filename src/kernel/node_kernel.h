@@ -30,7 +30,6 @@
 #include "src/sim/rng.h"
 #include "src/storage/stable_store.h"
 #include "src/trace/span.h"
-#include "src/trace/trace.h"
 
 namespace eden {
 
@@ -106,43 +105,6 @@ struct KernelConfig {
   // A holder whose lease expires within this margin routes the read to the
   // home instead of serving it locally; the reply piggybacks a renewal.
   SimDuration lease_renew_margin = Milliseconds(100);
-};
-
-// Snapshot of the kernel's registry-backed counters (see NodeKernel::stats).
-// Retained as a compatibility view: the authoritative counts live in the
-// node's MetricsRegistry under the kernel.* names listed in DESIGN.md.
-struct KernelStats {
-  uint64_t invocations_started = 0;
-  uint64_t invocations_local = 0;
-  uint64_t invocations_remote = 0;
-  uint64_t invocations_completed = 0;
-  uint64_t invocations_timed_out = 0;
-  uint64_t invocations_unavailable = 0;
-  uint64_t dispatches = 0;
-  uint64_t rights_denied = 0;
-  uint64_t queue_refusals = 0;
-  // Locate query rounds issued, by backend: locate_queries is the total
-  // (kernel.locate.queries.broadcast + kernel.locate.queries.directory);
-  // locate_broadcasts remains as the broadcast-tagged compat view.
-  uint64_t locate_queries = 0;
-  uint64_t locate_broadcasts = 0;
-  uint64_t locate_cache_hits = 0;
-  uint64_t directory_updates = 0;
-  uint64_t directory_stale_forwards = 0;
-  uint64_t redirects_followed = 0;
-  uint64_t activations = 0;
-  uint64_t checkpoints = 0;
-  uint64_t crashes = 0;
-  uint64_t moves_out = 0;
-  uint64_t moves_in = 0;
-  uint64_t replica_fetches = 0;
-  uint64_t replica_reads = 0;
-  uint64_t duplicate_requests = 0;
-  uint64_t lease_grants = 0;
-  uint64_t lease_recalls = 0;
-  uint64_t lease_renewals = 0;
-  uint64_t lease_expiries = 0;
-  uint64_t lease_local_reads = 0;
 };
 
 struct CreateOptions {
@@ -260,10 +222,6 @@ class NodeKernel {
   std::shared_ptr<ActiveObject> FindActive(const ObjectName& name) const;
   size_t active_count() const { return active_.size(); }
 
-  // Attaches (or detaches, with nullptr) a trace buffer recording this
-  // kernel's events. The buffer must outlive the kernel or be detached first.
-  void set_trace(TraceBuffer* trace) { trace_ = trace; }
-
   // Attaches the shared causal-span collector (DESIGN.md §12) and propagates
   // it to the owned transport and store. Spans never schedule simulation
   // events or consume simulation randomness, so attaching a collector cannot
@@ -284,8 +242,6 @@ class NodeKernel {
   // store.* and transport.* instruments of the owned subsystems.
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
-  // Compatibility snapshot of the registry-backed kernel counters.
-  KernelStats stats() const;
   const KernelConfig& config() const { return config_; }
   EdenSystem& system() { return system_; }
   // This node's driving simulation (its shard's under the parallel engine).
@@ -350,14 +306,6 @@ class NodeKernel {
     EventId timer = kInvalidEventId;
     SpanContext span;  // kMove span, open until ack / timeout
   };
-
-  void Trace(TraceEventKind kind, const ObjectName& object, uint64_t id,
-             std::string detail = {}) {
-    if (trace_ != nullptr) {
-      trace_->Record(TraceEvent{sim().now(), kind, station(), object, id,
-                                std::move(detail)});
-    }
-  }
 
   // --- Causal spans (DESIGN.md §12) ------------------------------------------
   // StartSpan opens a child of `parent`, or a new root trace when `parent` is
@@ -571,8 +519,8 @@ class NodeKernel {
            std::to_string(seq);
   }
 
-  // Cached Counter pointers into metrics_ for the kernel's hot paths; the
-  // names mirror the KernelStats fields (see NodeKernel::stats).
+  // Cached Counter pointers into metrics_ for the kernel's hot paths (the
+  // registry names are set in InitMetrics).
   struct KernelCounters {
     Counter* invocations_started = nullptr;
     Counter* invocations_local = nullptr;
@@ -724,7 +672,6 @@ class NodeKernel {
   uint64_t next_request_id_ = 1;
   uint64_t next_transfer_id_ = 1;
 
-  TraceBuffer* trace_ = nullptr;
   SpanCollector* spans_ = nullptr;
 };
 

@@ -1,9 +1,10 @@
 // Causal spans: cross-node invocation tracing (DESIGN.md §12).
 //
-// TraceBuffer (trace.h) records flat per-node events; it cannot say where a
-// location-independent invocation spent its time once the kernel fans out
-// across locates, redirects, activations, checkpoint writes and retries on
-// several nodes. Spans fix that: every unit of kernel work is a Span with a
+// Spans and the metrics registry are the system's only record of kernel
+// events: the registry counts every event kind (kernel.*, fault.*), and spans
+// say where a location-independent invocation spent its time once the kernel
+// fans out across locates, redirects, activations, checkpoint writes and
+// retries on several nodes. Every unit of kernel work is a Span with a
 // causal parent, identified by a SpanContext that rides inside the kernel's
 // wire messages, so work performed on a remote node links to the invocation
 // (or checkpoint, or move) that caused it. A SpanCollector shared by all node

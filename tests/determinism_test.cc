@@ -31,10 +31,10 @@ uint64_t Fingerprint(EdenSystem& system) {
   digest.Mix(static_cast<uint64_t>(system.sim().now()));
   digest.Mix(system.sim().events_executed());
   for (size_t n = 0; n < system.node_count(); n++) {
-    const KernelStats& stats = system.node(n).stats();
-    digest.Mix(stats.invocations_started);
-    digest.Mix(stats.invocations_remote);
-    digest.Mix(stats.dispatches);
+    const MetricsRegistry& m = system.node(n).metrics();
+    digest.Mix(m.CounterValue("kernel.invoke.started"));
+    digest.Mix(m.CounterValue("kernel.invoke.remote"));
+    digest.Mix(m.CounterValue("kernel.dispatches"));
   }
   digest.Mix(system.lan().stats().frames_sent);
   digest.Mix(system.lan().stats().bytes_on_wire);

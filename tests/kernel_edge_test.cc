@@ -58,7 +58,8 @@ TEST_F(KernelEdgeFixture, InvocationClassQueueOverflowIsRefused) {
   }
   EXPECT_EQ(ok_count, 3);  // 1 running + 2 queued
   EXPECT_EQ(refused, 2);
-  EXPECT_EQ(system_.node(0).stats().queue_refusals, 2u);
+  EXPECT_EQ(system_.node(0).metrics().CounterValue("kernel.queue_refusals"),
+            2u);
 }
 
 TEST_F(KernelEdgeFixture, DeepNestedInvocationChain) {
@@ -204,13 +205,13 @@ TEST_F(KernelEdgeFixture, StatsAccountForTheBasicFlows) {
   Call(0, *cap, "increment");                       // local
   Call(1, *cap, "increment");                       // remote + locate
   Call(1, *cap, "increment");                       // remote, cache hit
-  const KernelStats& local = system_.node(0).stats();
-  const KernelStats& remote = system_.node(1).stats();
-  EXPECT_EQ(local.invocations_local, 1u);
-  EXPECT_EQ(remote.invocations_remote, 2u);
-  EXPECT_EQ(remote.locate_queries, 1u);
-  EXPECT_EQ(remote.locate_cache_hits, 1u);
-  EXPECT_EQ(local.dispatches, 3u);
+  const MetricsRegistry& local = system_.node(0).metrics();
+  const MetricsRegistry& remote = system_.node(1).metrics();
+  EXPECT_EQ(local.CounterValue("kernel.invoke.local"), 1u);
+  EXPECT_EQ(remote.CounterValue("kernel.invoke.remote"), 2u);
+  EXPECT_EQ(LocateQueries(system_.node(1)), 1u);
+  EXPECT_EQ(remote.CounterValue("kernel.locate.cache_hits"), 1u);
+  EXPECT_EQ(local.CounterValue("kernel.dispatches"), 3u);
 }
 
 TEST_F(KernelEdgeFixture, SelfInvocationThroughOwnCapability) {

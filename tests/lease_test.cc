@@ -46,18 +46,22 @@ TEST_F(LeaseFixture, RemoteReadGrantsLeaseAndLaterReadsAreLocal) {
   ASSERT_TRUE(result.ok()) << result.status;
   EXPECT_EQ(result.results.U64At(0).value(), 7u);
   system_.RunFor(Milliseconds(5));  // let the grant land
-  EXPECT_GE(system_.node(0).stats().lease_grants, 1u);
+  EXPECT_GE(system_.node(0).metrics().CounterValue("kernel.lease.grants"), 1u);
 
   // Subsequent reads dispatch into the leased copy: no remote traffic.
-  uint64_t remote_before = system_.node(1).stats().invocations_remote;
-  uint64_t local_before = system_.node(1).stats().lease_local_reads;
+  uint64_t remote_before =
+      system_.node(1).metrics().CounterValue("kernel.invoke.remote");
+  uint64_t local_before =
+      system_.node(1).metrics().CounterValue("kernel.lease.local_reads");
   for (int i = 0; i < 3; i++) {
     result = Call(system_.node(1), *cap, "read");
     ASSERT_TRUE(result.ok()) << result.status;
     EXPECT_EQ(result.results.U64At(0).value(), 7u);
   }
-  EXPECT_EQ(system_.node(1).stats().invocations_remote, remote_before);
-  EXPECT_EQ(system_.node(1).stats().lease_local_reads, local_before + 3);
+  EXPECT_EQ(system_.node(1).metrics().CounterValue("kernel.invoke.remote"),
+            remote_before);
+  EXPECT_EQ(system_.node(1).metrics().CounterValue("kernel.lease.local_reads"),
+            local_before + 3);
 
   // A leased copy never serves write-class invocations: the increment
   // routes to the home and commits there.
@@ -71,24 +75,28 @@ TEST_F(LeaseFixture, ReadNearExpiryRoutesHomeAndRenewalRidesTheReply) {
   ASSERT_TRUE(cap.ok());
   ASSERT_TRUE(Call(system_.node(1), *cap, "read").ok());
   system_.RunFor(Milliseconds(5));
-  ASSERT_GE(system_.node(0).stats().lease_grants, 1u);
+  ASSERT_GE(system_.node(0).metrics().CounterValue("kernel.lease.grants"), 1u);
 
   // Advance to within the renewal margin of expiry: the next read goes to
   // the home (so it cannot observe a post-expiry stale copy) and the reply
   // piggybacks an extension.
   const KernelConfig& kc = system_.config().kernel;
   system_.RunFor(kc.lease_duration - kc.lease_renew_margin);
-  uint64_t renewals_before = system_.node(0).stats().lease_renewals;
+  uint64_t renewals_before =
+      system_.node(0).metrics().CounterValue("kernel.lease.renewals");
   InvokeResult result = Call(system_.node(1), *cap, "read");
   ASSERT_TRUE(result.ok()) << result.status;
-  EXPECT_GT(system_.node(0).stats().lease_renewals, renewals_before);
+  EXPECT_GT(system_.node(0).metrics().CounterValue("kernel.lease.renewals"),
+            renewals_before);
 
   // The extension re-arms the local fast path without a new grant message.
-  uint64_t local_before = system_.node(1).stats().lease_local_reads;
+  uint64_t local_before =
+      system_.node(1).metrics().CounterValue("kernel.lease.local_reads");
   result = Call(system_.node(1), *cap, "read");
   ASSERT_TRUE(result.ok()) << result.status;
   EXPECT_EQ(result.results.U64At(0).value(), 3u);
-  EXPECT_GT(system_.node(1).stats().lease_local_reads, local_before);
+  EXPECT_GT(system_.node(1).metrics().CounterValue("kernel.lease.local_reads"),
+            local_before);
 }
 
 TEST_F(LeaseFixture, WriteRecallsEveryHolderAndNoStaleReadSurvivesIt) {
@@ -100,16 +108,18 @@ TEST_F(LeaseFixture, WriteRecallsEveryHolderAndNoStaleReadSurvivesIt) {
   ASSERT_TRUE(Call(system_.node(1), *cap, "read").ok());
   ASSERT_TRUE(Call(system_.node(2), *cap, "read").ok());
   system_.RunFor(Milliseconds(5));
-  ASSERT_GE(system_.node(0).stats().lease_grants, 2u);
+  ASSERT_GE(system_.node(0).metrics().CounterValue("kernel.lease.grants"), 2u);
 
   // The write blocks on the recall round, not on lease expiry: both holders
   // release promptly, so the commit lands within a few round-trips.
   SimTime before = system_.sim().now();
-  uint64_t recalls_before = system_.node(0).stats().lease_recalls;
+  uint64_t recalls_before =
+      system_.node(0).metrics().CounterValue("kernel.lease.recalls");
   InvokeResult result = Call(system_.node(3), *cap, "increment");
   ASSERT_TRUE(result.ok()) << result.status;
   EXPECT_EQ(result.results.U64At(0).value(), 2u);
-  EXPECT_GT(system_.node(0).stats().lease_recalls, recalls_before);
+  EXPECT_GT(system_.node(0).metrics().CounterValue("kernel.lease.recalls"),
+            recalls_before);
   EXPECT_LT(system_.sim().now() - before, Milliseconds(100));
 
   // After the commit the recalled copies are gone: both ex-holders observe
@@ -127,15 +137,17 @@ TEST_F(LeaseFixture, MoveWaitsOutLeasesAndHoldersNeverServeTheOldHome) {
   ASSERT_TRUE(cap.ok());
   ASSERT_TRUE(Call(system_.node(1), *cap, "read").ok());
   system_.RunFor(Milliseconds(5));
-  ASSERT_GE(system_.node(0).stats().lease_grants, 1u);
+  ASSERT_GE(system_.node(0).metrics().CounterValue("kernel.lease.grants"), 1u);
 
   auto object = system_.node(0).FindActive(cap->name());
   ASSERT_NE(object, nullptr);
-  uint64_t recalls_before = system_.node(0).stats().lease_recalls;
+  uint64_t recalls_before =
+      system_.node(0).metrics().CounterValue("kernel.lease.recalls");
   Status moved = system_.Await(
       system_.node(0).MoveObject(object, system_.node(2).station()));
   ASSERT_TRUE(moved.ok()) << moved;
-  EXPECT_GT(system_.node(0).stats().lease_recalls, recalls_before);
+  EXPECT_GT(system_.node(0).metrics().CounterValue("kernel.lease.recalls"),
+            recalls_before);
   system_.RunFor(Milliseconds(10));
   EXPECT_TRUE(system_.node(2).IsActive(cap->name()));
 
@@ -158,7 +170,7 @@ TEST_F(LeaseFixture, RebornHomeQuiescesWritesForAFullLeaseTerm) {
   ASSERT_TRUE(system_.Await(system_.node(0).CheckpointObject(cap->name())).ok());
   ASSERT_TRUE(Call(system_.node(1), *cap, "read").ok());
   system_.RunFor(Milliseconds(5));
-  ASSERT_GE(system_.node(0).stats().lease_grants, 1u);
+  ASSERT_GE(system_.node(0).metrics().CounterValue("kernel.lease.grants"), 1u);
 
   // The home dies and reincarnates. It cannot know what its predecessor
   // granted, so the first write waits out a full lease term from the
@@ -194,7 +206,7 @@ TEST(LeaseChaos, RecallLostUnderPartitionResolvesByExpiryNeverStaleWrites) {
 
   ASSERT_TRUE(system.Await(system.node(1).Invoke(*cap, "read")).ok());
   system.RunFor(Milliseconds(5));
-  ASSERT_GE(system.node(0).stats().lease_grants, 1u);
+  ASSERT_GE(system.node(0).metrics().CounterValue("kernel.lease.grants"), 1u);
 
   // The holder drops off the wire; the recall (and its retransmits) are lost.
   system.lan().SetPartitionGroup(system.node(1).station(), 1);
@@ -218,7 +230,7 @@ TEST(LeaseChaos, RecallLostUnderPartitionResolvesByExpiryNeverStaleWrites) {
   EXPECT_EQ(committed.results.U64At(0).value(), 2u);
   SimDuration blocked = system.sim().now() - write_start;
   EXPECT_GE(blocked, system.config().kernel.lease_duration - Milliseconds(20));
-  EXPECT_GE(system.node(0).stats().lease_expiries, 1u);
+  EXPECT_GE(system.node(0).metrics().CounterValue("kernel.lease.expiries"), 1u);
 
   // Post-commit, the ex-holder's lease has expired: its copy is dead and the
   // healed read observes the committed value. No stale read is ever served
@@ -285,7 +297,8 @@ LeaseWorkloadResult RunLeaseWorkload(uint64_t seed, bool leases) {
   run.Mix(values.value());
   out.run_digest = run.value();
   for (size_t n = 0; n < system.node_count(); n++) {
-    out.local_reads += system.node(n).stats().lease_local_reads;
+    out.local_reads +=
+        system.node(n).metrics().CounterValue("kernel.lease.local_reads");
   }
   return out;
 }

@@ -105,16 +105,20 @@ TEST_F(LocationFixture, StaleCacheIsHealedByForwarding) {
 
   // Node 4 still points at node 0; the invocation follows the forwarding
   // address transparently.
-  uint64_t redirects_before = system_.node(4).stats().redirects_followed;
+  uint64_t redirects_before =
+      system_.node(4).metrics().CounterValue("kernel.redirects_followed");
   InvokeResult result = Call(system_.node(4), *cap, "increment");
   ASSERT_TRUE(result.ok()) << result.status;
   EXPECT_EQ(result.results.U64At(0).value(), 2u);
-  EXPECT_GT(system_.node(4).stats().redirects_followed, redirects_before);
+  EXPECT_GT(system_.node(4).metrics().CounterValue("kernel.redirects_followed"),
+            redirects_before);
 
   // The healed cache goes straight to node 1 now.
-  uint64_t redirects_after = system_.node(4).stats().redirects_followed;
+  uint64_t redirects_after =
+      system_.node(4).metrics().CounterValue("kernel.redirects_followed");
   ASSERT_TRUE(Call(system_.node(4), *cap, "increment").ok());
-  EXPECT_EQ(system_.node(4).stats().redirects_followed, redirects_after);
+  EXPECT_EQ(system_.node(4).metrics().CounterValue("kernel.redirects_followed"),
+            redirects_after);
 }
 
 TEST_F(LocationFixture, ChainedMovesAreFollowed) {
@@ -222,13 +226,17 @@ TEST_F(LocationFixture, FrozenObjectIsCachedAndServedLocally) {
   EXPECT_TRUE(system_.node(3).HasReplica(cap->name()));
 
   // Subsequent reads are served from the local replica: no remote traffic.
-  uint64_t remote_before = system_.node(3).stats().invocations_remote;
-  uint64_t replica_reads_before = system_.node(3).stats().replica_reads;
+  uint64_t remote_before =
+      system_.node(3).metrics().CounterValue("kernel.invoke.remote");
+  uint64_t replica_reads_before =
+      system_.node(3).metrics().CounterValue("kernel.replica.reads");
   result = Call(system_.node(3), *cap, "read");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.results.U64At(0).value(), 9u);
-  EXPECT_EQ(system_.node(3).stats().invocations_remote, remote_before);
-  EXPECT_GT(system_.node(3).stats().replica_reads, replica_reads_before);
+  EXPECT_EQ(system_.node(3).metrics().CounterValue("kernel.invoke.remote"),
+            remote_before);
+  EXPECT_GT(system_.node(3).metrics().CounterValue("kernel.replica.reads"),
+            replica_reads_before);
 }
 
 TEST_F(LocationFixture, ReplicaDoesNotServeMutations) {
@@ -323,13 +331,16 @@ TEST_F(LocationFixture, StaleHostForwardsWithVersionedHint) {
 
   // The stale invocation lands on node 0, which answers with a
   // version-stamped forward hint instead of re-broadcasting.
-  uint64_t stale_before = system_.node(0).stats().directory_stale_forwards;
+  uint64_t stale_before =
+      system_.node(0).metrics().CounterValue("kernel.directory.stale_forwards");
   InvokeResult result = Call(system_.node(4), *cap, "increment");
   ASSERT_TRUE(result.ok()) << result.status;
   EXPECT_EQ(result.results.U64At(0).value(), 2u);
-  EXPECT_GT(system_.node(0).stats().directory_stale_forwards, stale_before);
+  EXPECT_GT(
+      system_.node(0).metrics().CounterValue("kernel.directory.stale_forwards"),
+      stale_before);
   // Following the hint required no extra locate round on the invoker.
-  EXPECT_LE(system_.node(4).stats().locate_queries, 1u);
+  EXPECT_LE(LocateQueries(system_.node(4)), 1u);
 }
 
 TEST_F(LocationFixture, StaleEpochUpdateIsRejectedByTheHome) {
@@ -525,8 +536,9 @@ uint64_t RunLocateWorkload(uint64_t seed, LocationBackend backend,
   digest.Mix(system.sim().events_executed());
   digest.Mix(total);
   for (size_t n = 0; n < system.node_count(); n++) {
-    digest.Mix(system.node(n).stats().locate_queries);
-    digest.Mix(system.node(n).stats().directory_updates);
+    digest.Mix(LocateQueries(system.node(n)));
+    digest.Mix(
+        system.node(n).metrics().CounterValue("kernel.directory.updates"));
   }
   return digest.value();
 }

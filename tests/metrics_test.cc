@@ -14,7 +14,7 @@
 
 #include "src/kernel/eden_system.h"
 #include "src/metrics/metrics.h"
-#include "src/trace/trace.h"
+#include "src/trace/span.h"
 #include "src/types/standard_types.h"
 
 namespace eden {
@@ -304,7 +304,7 @@ TEST(MetricsRegistry, MergeSumsCountersAndGaugesMergesHistograms) {
   EXPECT_EQ(a.FindHistogram("lat")->max(), Microseconds(300));
 }
 
-// --- System integration: rollup, stats compatibility, JSON ----------------
+// --- System integration: rollup, JSON, span export ------------------------
 
 class MetricsSystemTest : public testing::Test {
  protected:
@@ -313,6 +313,9 @@ class MetricsSystemTest : public testing::Test {
     system_.AddNodes(3);
   }
 
+  // Attached only by the tests that read spans; declared first so it
+  // outlives the system.
+  SpanCollector spans_;
   EdenSystem system_;
 };
 
@@ -337,23 +340,6 @@ TEST_F(MetricsSystemTest, RollupSumsNodeRegistries) {
   EXPECT_GT(rollup.CounterValue("lan.frames_delivered"), 0u);
 }
 
-TEST_F(MetricsSystemTest, KernelStatsCompatibilityAccessor) {
-  auto cap = system_.node(0).CreateObject("std.counter", Representation{});
-  ASSERT_TRUE(cap.ok());
-  ASSERT_TRUE(system_.Await(system_.node(0).Invoke(*cap, "increment")).ok());
-  ASSERT_TRUE(system_.Await(system_.node(1).Invoke(*cap, "read")).ok());
-
-  const MetricsRegistry& m0 = system_.node(0).metrics();
-  KernelStats stats = system_.node(0).stats();
-  EXPECT_EQ(stats.invocations_started, m0.CounterValue("kernel.invoke.started"));
-  EXPECT_EQ(stats.invocations_local, m0.CounterValue("kernel.invoke.local"));
-  EXPECT_EQ(stats.invocations_completed,
-            m0.CounterValue("kernel.invoke.completed"));
-  EXPECT_EQ(stats.dispatches, m0.CounterValue("kernel.dispatches"));
-  EXPECT_EQ(stats.invocations_local, 1u);
-  EXPECT_GE(stats.dispatches, 2u);  // served both the local and remote call
-}
-
 TEST_F(MetricsSystemTest, LocateMetricsAreBackendTagged) {
   // Default backend is the partitioned directory: locate rounds land on the
   // directory-tagged counter and the broadcast counter stays untouched.
@@ -364,12 +350,6 @@ TEST_F(MetricsSystemTest, LocateMetricsAreBackendTagged) {
   const MetricsRegistry& m1 = system_.node(1).metrics();
   EXPECT_EQ(m1.CounterValue("kernel.locate.queries.directory"), 1u);
   EXPECT_EQ(m1.CounterValue("kernel.locate.queries.broadcast"), 0u);
-
-  // The stats() view sums both backends into locate_queries and keeps
-  // locate_broadcasts as the broadcast-only slice.
-  KernelStats stats = system_.node(1).stats();
-  EXPECT_EQ(stats.locate_queries, 1u);
-  EXPECT_EQ(stats.locate_broadcasts, 0u);
 
   // Creation published a residence to the name's home partition somewhere,
   // and the home's entry count gauge reflects it.
@@ -408,37 +388,37 @@ TEST_F(MetricsSystemTest, RegistryJsonRoundTrips) {
 }
 
 TEST_F(MetricsSystemTest, ChromeTraceRoundTrips) {
-  TraceBuffer trace;
-  system_.node(0).set_trace(&trace);
-  system_.node(1).set_trace(&trace);
-
+  system_.set_span_collector(&spans_);
   auto cap = system_.node(0).CreateObject("std.counter", Representation{});
   ASSERT_TRUE(cap.ok());
   ASSERT_TRUE(system_.Await(system_.node(1).Invoke(*cap, "increment")).ok());
+  system_.RunFor(Milliseconds(20));  // the reply's ACK closes the trace
 
-  JsonValue root = ParseJsonOrDie(trace.ExportChromeTrace());
+  JsonValue root = ParseJsonOrDie(spans_.ExportChromeTrace());
   const JsonValue& events = root.at("traceEvents");
   ASSERT_EQ(events.kind, JsonValue::kArray);
   ASSERT_FALSE(events.items.empty());
 
-  // The invoke start/complete pair must have folded into one "X" duration
-  // event whose duration matches the buffer's own latency accounting.
-  size_t durations = 0;
+  // The invocation is one "X" slice whose duration is the latency sample
+  // the invoking kernel recorded.
+  const Histogram* remote =
+      system_.node(1).metrics().FindHistogram("kernel.invoke.latency.remote");
+  ASSERT_NE(remote, nullptr);
+  ASSERT_EQ(remote->count(), 1u);
+  size_t invocations = 0;
   for (const JsonValue& event : events.items) {
     const std::string& phase = event.at("ph").text;
     ASSERT_FALSE(phase.empty());
-    if (phase == "X") {
-      durations++;
+    const std::string& name = event.at("name").text;
+    EXPECT_FALSE(name.empty());
+    if (phase == "X" && name.rfind("invoke ", 0) == 0) {
+      invocations++;
       EXPECT_GT(event.at("dur").number, 0.0);
       EXPECT_NEAR(event.at("dur").number,
-                  static_cast<double>(trace.MeanInvocationLatency()) / 1000.0,
-                  1e-6);
-    } else {
-      EXPECT_EQ(phase, "i");
+                  static_cast<double>(remote->sum()) / 1000.0, 1e-6);
     }
-    EXPECT_FALSE(event.at("name").text.empty());
   }
-  EXPECT_EQ(durations, 1u);
+  EXPECT_EQ(invocations, 1u);
 }
 
 // --- InvokeOptions ---------------------------------------------------------
@@ -477,19 +457,19 @@ TEST_F(MetricsSystemTest, MetricsClassRecordsPerClassHistogram) {
 }
 
 TEST_F(MetricsSystemTest, TraceLabelAppearsInTrace) {
-  TraceBuffer trace;
-  system_.node(1).set_trace(&trace);
+  system_.set_span_collector(&spans_);
   auto cap = system_.node(0).CreateObject("std.counter", Representation{});
   ASSERT_TRUE(cap.ok());
   InvokeOptions options;
   options.trace_label = "probe-7";
   ASSERT_TRUE(
       system_.Await(system_.node(1).Invoke(*cap, "increment", {}, options)).ok());
+  system_.RunFor(Milliseconds(20));
 
   bool found = false;
-  for (const TraceEvent& event : trace.events()) {
-    if (event.kind == TraceEventKind::kInvokeStart &&
-        event.detail.find("probe-7") != std::string::npos) {
+  for (const TraceTree& tree : spans_.completed()) {
+    const Span* root = tree.root();
+    if (root->kind == SpanKind::kInvocation && root->label == "probe-7") {
       found = true;
     }
   }
@@ -547,17 +527,6 @@ TEST(NodeBuilder, WithLocationSelectsTheBackend) {
   tuned.directory_fanout = 2;
   NodeKernel& wide = system.AddNode("wide").WithLocation(tuned);
   EXPECT_EQ(wide.config().locate.directory_fanout, 2);
-}
-
-TEST(NodeBuilder, WithTraceWiresTheBuffer) {
-  EdenSystem system;
-  RegisterStandardTypes(system);
-  TraceBuffer trace;
-  system.AddNode("traced").WithTrace(&trace);
-  auto cap = system.node(0).CreateObject("std.counter", Representation{});
-  ASSERT_TRUE(cap.ok());
-  ASSERT_TRUE(system.Await(system.node(0).Invoke(*cap, "increment")).ok());
-  EXPECT_GT(trace.total_recorded(), 0u);
 }
 
 }  // namespace

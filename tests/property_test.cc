@@ -178,11 +178,11 @@ TEST_P(DeterminismProperty, EqualSeedsProduceIdenticalExecutions) {
     Digest digest;
     digest.Mix(static_cast<uint64_t>(system.sim().now()));
     for (size_t n = 0; n < system.node_count(); n++) {
-      const KernelStats& stats = system.node(n).stats();
-      digest.Mix(stats.invocations_started);
-      digest.Mix(stats.invocations_remote);
-      digest.Mix(stats.locate_broadcasts);
-      digest.Mix(stats.dispatches);
+      const MetricsRegistry& m = system.node(n).metrics();
+      digest.Mix(m.CounterValue("kernel.invoke.started"));
+      digest.Mix(m.CounterValue("kernel.invoke.remote"));
+      digest.Mix(m.CounterValue("kernel.locate.queries.broadcast"));
+      digest.Mix(m.CounterValue("kernel.dispatches"));
     }
     digest.Mix(system.lan().stats().frames_sent);
     digest.Mix(system.lan().stats().collisions);

@@ -67,7 +67,7 @@ TEST_F(ReliabilityFixture, CrashedObjectReincarnatesFromCheckpoint) {
   ASSERT_TRUE(result.ok()) << result.status;
   EXPECT_EQ(result.results.U64At(0).value(), 7u);
   EXPECT_TRUE(system_.node(0).IsActive(cap.name()));
-  EXPECT_GT(system_.node(0).stats().activations, 0u);
+  EXPECT_GT(system_.node(0).metrics().CounterValue("kernel.activations"), 0u);
 }
 
 TEST_F(ReliabilityFixture, NodeFailureThenRestartRecoversCheckpointedState) {

@@ -12,6 +12,13 @@
 
 namespace eden {
 
+// Locate query rounds `node` issued through either backend: the sum of its
+// kernel.locate.queries.broadcast and kernel.locate.queries.directory.
+inline uint64_t LocateQueries(const NodeKernel& node) {
+  return node.metrics().CounterValue("kernel.locate.queries.broadcast") +
+         node.metrics().CounterValue("kernel.locate.queries.directory");
+}
+
 // A simple counter type used across test suites:
 //   increment (write class) - adds args[0] (default 1), returns new value
 //   read      (read class)  - returns current value

@@ -1,11 +1,12 @@
-// Tests for the kernel tracing subsystem.
+// Tests for the kernel's event record: the registry counters that count
+// every kernel event kind (DESIGN.md §8) and the causal spans that time them
+// (DESIGN.md §12).
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "src/kernel/eden_system.h"
 #include "src/trace/span.h"
-#include "src/trace/trace.h"
 #include "src/types/standard_types.h"
 
 namespace eden {
@@ -16,13 +17,9 @@ class TraceFixture : public ::testing::Test {
   TraceFixture() {
     RegisterStandardTypes(system_);
     system_.AddNodes(3);
-    for (size_t n = 0; n < system_.node_count(); n++) {
-      system_.node(n).set_trace(&trace_);
-    }
   }
 
   EdenSystem system_;
-  TraceBuffer trace_;
 };
 
 TEST_F(TraceFixture, InvocationLifecycleIsRecorded) {
@@ -30,11 +27,12 @@ TEST_F(TraceFixture, InvocationLifecycleIsRecorded) {
   ASSERT_TRUE(cap.ok());
   system_.Await(system_.node(1).Invoke(*cap, "increment"));
 
-  EXPECT_GE(trace_.counts().at(TraceEventKind::kInvokeStart), 1u);
-  EXPECT_GE(trace_.counts().at(TraceEventKind::kInvokeComplete), 1u);
-  EXPECT_GE(trace_.counts().at(TraceEventKind::kDispatch), 1u);
+  MetricsRegistry rollup = system_.Rollup();
+  EXPECT_GE(rollup.CounterValue("kernel.invoke.started"), 1u);
+  EXPECT_GE(rollup.CounterValue("kernel.invoke.completed"), 1u);
+  EXPECT_GE(rollup.CounterValue("kernel.dispatches"), 1u);
   // The default backend resolves through the partitioned directory.
-  EXPECT_GE(trace_.counts().at(TraceEventKind::kDirectoryLookup), 1u);
+  EXPECT_GE(rollup.CounterValue("kernel.locate.queries.directory"), 1u);
 }
 
 TEST_F(TraceFixture, MeanInvocationLatencyMatchesPairs) {
@@ -43,10 +41,13 @@ TEST_F(TraceFixture, MeanInvocationLatencyMatchesPairs) {
   for (int i = 0; i < 5; i++) {
     system_.Await(system_.node(1).Invoke(*cap, "increment"));
   }
-  SimDuration mean = trace_.MeanInvocationLatency();
+  const Histogram* remote =
+      system_.node(1).metrics().FindHistogram("kernel.invoke.latency.remote");
+  ASSERT_NE(remote, nullptr);
+  EXPECT_EQ(remote->count(), 5u);
   // Remote invocations in the default configuration land near 700-900 us.
-  EXPECT_GT(mean, Microseconds(400));
-  EXPECT_LT(mean, Milliseconds(5));
+  EXPECT_GT(remote->mean(), Microseconds(400));
+  EXPECT_LT(remote->mean(), Milliseconds(5));
 }
 
 TEST_F(TraceFixture, LifecycleEventsForCheckpointCrashActivation) {
@@ -56,31 +57,10 @@ TEST_F(TraceFixture, LifecycleEventsForCheckpointCrashActivation) {
   system_.Await(system_.node(0).Invoke(*cap, "crash"));
   system_.Await(system_.node(1).Invoke(*cap, "read"));
 
-  EXPECT_EQ(trace_.counts().at(TraceEventKind::kCheckpoint), 1u);
-  EXPECT_EQ(trace_.counts().at(TraceEventKind::kObjectCrash), 1u);
-  EXPECT_EQ(trace_.counts().at(TraceEventKind::kActivation), 1u);
-}
-
-TEST_F(TraceFixture, RingBufferEvictsButCountsPersist) {
-  TraceBuffer small(8);
-  system_.node(0).set_trace(&small);
-  auto cap = system_.node(0).CreateObject("std.counter", Representation{});
-  for (int i = 0; i < 20; i++) {
-    system_.Await(system_.node(0).Invoke(*cap, "increment"));
-  }
-  EXPECT_LE(small.size(), 8u);
-  EXPECT_GE(small.total_recorded(), 40u);  // 20 starts + 20 completes
-  EXPECT_EQ(small.counts().at(TraceEventKind::kInvokeStart), 20u);
-}
-
-TEST_F(TraceFixture, DumpAndSummaryAreReadable) {
-  auto cap = system_.node(0).CreateObject("std.counter", Representation{});
-  system_.Await(system_.node(1).Invoke(*cap, "increment"));
-  std::string dump = trace_.Dump(4);
-  EXPECT_NE(dump.find("INVOKE_COMPLETE"), std::string::npos);
-  std::string summary = trace_.Summary();
-  EXPECT_NE(summary.find("DISPATCH"), std::string::npos);
-  EXPECT_NE(summary.find("x"), std::string::npos);
+  MetricsRegistry rollup = system_.Rollup();
+  EXPECT_EQ(rollup.CounterValue("kernel.checkpoints"), 1u);
+  EXPECT_EQ(rollup.CounterValue("kernel.crashes"), 1u);
+  EXPECT_EQ(rollup.CounterValue("kernel.activations"), 1u);
 }
 
 TEST_F(TraceFixture, NodeFailureAndMoveAreTraced) {
@@ -91,41 +71,18 @@ TEST_F(TraceFixture, NodeFailureAndMoveAreTraced) {
   system_.node(1).FailNode();
   system_.node(1).RestartNode();
 
-  EXPECT_EQ(trace_.counts().at(TraceEventKind::kMoveOut), 1u);
-  EXPECT_EQ(trace_.counts().at(TraceEventKind::kMoveIn), 1u);
-  EXPECT_EQ(trace_.counts().at(TraceEventKind::kNodeFailure), 1u);
-  EXPECT_EQ(trace_.counts().at(TraceEventKind::kNodeRestart), 1u);
-}
-
-TEST_F(TraceFixture, ClearResetsEverything) {
-  auto cap = system_.node(0).CreateObject("std.counter", Representation{});
-  system_.Await(system_.node(0).Invoke(*cap, "read"));
-  EXPECT_GT(trace_.size(), 0u);
-  trace_.Clear();
-  EXPECT_EQ(trace_.size(), 0u);
-  EXPECT_EQ(trace_.total_recorded(), 0u);
-  EXPECT_TRUE(trace_.counts().empty());
-}
-
-TEST_F(TraceFixture, RingBufferTracksDropsAndHighWater) {
-  TraceBuffer small(8);
-  MetricsRegistry registry;
-  small.set_metrics(&registry);
-  system_.node(0).set_trace(&small);
-  auto cap = system_.node(0).CreateObject("std.counter", Representation{});
-  for (int i = 0; i < 20; i++) {
-    system_.Await(system_.node(0).Invoke(*cap, "increment"));
+  MetricsRegistry rollup = system_.Rollup();
+  EXPECT_EQ(rollup.CounterValue("kernel.moves_out"), 1u);
+  EXPECT_EQ(rollup.CounterValue("kernel.moves_in"), 1u);
+  // Node failure and restart are counted on the node itself, and only there.
+  EXPECT_EQ(system_.node(1).metrics().CounterValue("kernel.node.failures"), 1u);
+  EXPECT_EQ(system_.node(1).metrics().CounterValue("kernel.node.restarts"), 1u);
+  for (size_t n : {0u, 2u}) {
+    EXPECT_EQ(system_.node(n).metrics().FindCounter("kernel.node.failures"),
+              nullptr);
+    EXPECT_EQ(system_.node(n).metrics().FindCounter("kernel.node.restarts"),
+              nullptr);
   }
-  EXPECT_EQ(small.high_water(), 8u);
-  EXPECT_EQ(small.dropped(), small.total_recorded() - small.size());
-  EXPECT_GT(small.dropped(), 0u);
-  EXPECT_EQ(registry.FindCounter("trace.buffer.dropped")->value(),
-            small.dropped());
-  EXPECT_EQ(registry.FindCounter("trace.buffer.recorded")->value(),
-            small.total_recorded());
-  std::string summary = small.Summary();
-  EXPECT_NE(summary.find("dropped"), std::string::npos);
-  EXPECT_NE(summary.find("high-water"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
