@@ -36,7 +36,10 @@
 #      (edenbench/README.md). Host timings are not gated here; the point is
 #      the benchmark's own output checks, any of which fails the run:
 #      pass-to-pass digest and counter reproduction, 1- vs 2-shard per-node
-#      digests, exactly-once counter sums and the reincarnation check.
+#      digests, exactly-once counter sums and the reincarnation check. Then
+#      build edenbench_test in the tree run.py configured and run it: the
+#      percentile rule, Zipf determinism, metric names, the ledger sum and
+#      the rollup check.
 #
 #   scripts/ci.sh [jobs]
 set -eu
@@ -99,5 +102,14 @@ for workload in ring_csma zipf_lease durable_mirror sharded_ring; do
   (cd "$repo_root" && python3 edenbench/run.py --workload "$workload" \
     --seed 1 --seconds 1 --trace 0)
 done
+# run.py's tree: $CARGO_TARGET_DIR (relative to the root unless absolute) or
+# .bench_build, then edenbench/.
+bench_base=${CARGO_TARGET_DIR:-.bench_build}
+case $bench_base in
+  /*) ;;
+  *) bench_base="$repo_root/$bench_base" ;;
+esac
+cmake --build "$bench_base/edenbench" --target edenbench_test -j "$jobs"
+"$bench_base/edenbench/edenbench_test"
 
 echo "CI OK"

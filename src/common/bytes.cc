@@ -1,6 +1,7 @@
 #include "src/common/bytes.h"
 
 #include <array>
+#include <cassert>
 
 namespace eden {
 
@@ -16,23 +17,39 @@ std::string ToString(BytesView bytes) {
   return std::string(bytes.begin(), bytes.end());
 }
 
+namespace {
+
+// Spells the low N bytes of `value` into `out`, least significant first,
+// whatever the host byte order.
+template <size_t N>
+void StoreLittleEndian(uint64_t value, uint8_t* out) {
+  for (size_t i = 0; i < N; i++) {
+    out[i] = static_cast<uint8_t>(value >> (8 * i));
+  }
+}
+
+// Appends a fixed-width field with one capacity check.
+template <size_t N>
+void AppendLittleEndian(Bytes& buffer, uint64_t value) {
+  uint8_t bytes[N];
+  StoreLittleEndian<N>(value, bytes);
+  buffer.insert(buffer.end(), bytes, bytes + N);
+}
+
+}  // namespace
+
 void BufferWriter::WriteU8(uint8_t value) { buffer_.push_back(value); }
 
 void BufferWriter::WriteU16(uint16_t value) {
-  buffer_.push_back(static_cast<uint8_t>(value));
-  buffer_.push_back(static_cast<uint8_t>(value >> 8));
+  AppendLittleEndian<2>(buffer_, value);
 }
 
 void BufferWriter::WriteU32(uint32_t value) {
-  for (int i = 0; i < 4; i++) {
-    buffer_.push_back(static_cast<uint8_t>(value >> (8 * i)));
-  }
+  AppendLittleEndian<4>(buffer_, value);
 }
 
 void BufferWriter::WriteU64(uint64_t value) {
-  for (int i = 0; i < 8; i++) {
-    buffer_.push_back(static_cast<uint8_t>(value >> (8 * i)));
-  }
+  AppendLittleEndian<8>(buffer_, value);
 }
 
 void BufferWriter::WriteI64(int64_t value) {
@@ -73,6 +90,11 @@ void BufferWriter::WriteDouble(double value) {
 
 void BufferWriter::WriteRaw(const uint8_t* data, size_t size) {
   buffer_.insert(buffer_.end(), data, data + size);
+}
+
+void BufferWriter::PatchU32(size_t offset, uint32_t value) {
+  assert(offset + 4 <= buffer_.size());
+  StoreLittleEndian<4>(value, buffer_.data() + offset);
 }
 
 Status BufferReader::Need(size_t n) const {

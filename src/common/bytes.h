@@ -55,7 +55,9 @@ class BytesView {
 // into it. Copying or slicing a SharedBytes bumps a refcount; the underlying
 // allocation is shared. The transport moves each outgoing message into one
 // of these, fragments it by slicing, ships the slices inside LAN frames, and
-// reassembles by re-slicing — one allocation per message end to end.
+// reassembles by re-slicing, so the payload bytes are never copied between
+// the sender's encoder and the receiver's decoder. The wrap itself costs one
+// allocation (the shared control block); each frame adds its own header.
 class SharedBytes {
  public:
   SharedBytes() = default;
@@ -105,11 +107,18 @@ Bytes ToBytes(std::string_view text);
 std::string ToString(const Bytes& bytes);
 std::string ToString(BytesView bytes);
 
+// Longest encoding of WriteVarint: a 64-bit value at 7 bits per byte.
+constexpr size_t kMaxVarintBytes = 10;
+
 // Append-only encoder. All writes succeed (the buffer grows); the produced
-// buffer is retrieved with Take() or buffer().
+// buffer is retrieved with Take() or buffer(). Fixed-width fields are
+// appended little-endian in one step each.
 class BufferWriter {
  public:
   BufferWriter() = default;
+  // Reserves `capacity` bytes, so an encoder that knows (a bound on) its
+  // output size writes it into a single allocation.
+  explicit BufferWriter(size_t capacity) { buffer_.reserve(capacity); }
 
   void WriteU8(uint8_t value);
   void WriteU16(uint16_t value);
@@ -126,6 +135,9 @@ class BufferWriter {
   void WriteDouble(double value);
   // Raw bytes with no length prefix (caller knows the framing).
   void WriteRaw(const uint8_t* data, size_t size);
+  // Overwrites the four bytes at `offset`, which must already be written,
+  // with `value` (a placeholder filled in once the value is known).
+  void PatchU32(size_t offset, uint32_t value);
 
   const Bytes& buffer() const { return buffer_; }
   Bytes Take() { return std::move(buffer_); }

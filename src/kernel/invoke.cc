@@ -52,6 +52,12 @@ size_t InvokeArgs::TotalBytes() const {
   return total;
 }
 
+size_t InvokeArgs::EncodedSizeBound() const {
+  // TotalBytes counts each capability at its encoded width; add the two
+  // counts and one length prefix per data item.
+  return TotalBytes() + kMaxVarintBytes * (data.size() + 2);
+}
+
 void InvokeArgs::Encode(BufferWriter& writer) const {
   writer.WriteVarint(data.size());
   for (const Bytes& item : data) {
@@ -82,6 +88,11 @@ StatusOr<InvokeArgs> InvokeArgs::Decode(BufferReader& reader) {
     args.caps.push_back(cap);
   }
   return args;
+}
+
+size_t InvokeResult::EncodedSizeBound() const {
+  return 1 + kMaxVarintBytes + status.message().size() +
+         results.EncodedSizeBound();
 }
 
 void InvokeResult::Encode(BufferWriter& writer) const {

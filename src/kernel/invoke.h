@@ -80,6 +80,8 @@ struct InvokeArgs {
   StatusOr<Capability> CapabilityAt(size_t index) const;
 
   size_t TotalBytes() const;
+  // Upper bound on the bytes Encode appends (for sizing a writer).
+  size_t EncodedSizeBound() const;
 
   void Encode(BufferWriter& writer) const;
   static StatusOr<InvokeArgs> Decode(BufferReader& reader);
@@ -100,6 +102,8 @@ struct InvokeResult {
 
   bool ok() const { return status.ok(); }
 
+  // Upper bound on the bytes Encode appends (for sizing a writer).
+  size_t EncodedSizeBound() const;
   void Encode(BufferWriter& writer) const;
   static StatusOr<InvokeResult> Decode(BufferReader& reader);
 };

@@ -4,8 +4,16 @@ namespace eden {
 
 namespace {
 
-BufferWriter StartMessage(MessageKind kind) {
-  BufferWriter writer;
+// Room for a message's fixed-width fields. Every message on the invocation,
+// location, checkpoint and lease paths fits; the largest, an invoke
+// request's, total 57 bytes.
+constexpr size_t kFixedFieldBytes = 64;
+
+// Opens a message whose variable-length parts (strings, byte blocks and
+// lists, with their length prefixes) take at most `variable_bytes`, so the
+// writer is allocated once.
+BufferWriter StartMessage(MessageKind kind, size_t variable_bytes = 0) {
+  BufferWriter writer(kFixedFieldBytes + variable_bytes);
   writer.WriteU8(static_cast<uint8_t>(kind));
   return writer;
 }
@@ -34,7 +42,10 @@ StatusOr<MessageKind> PeekMessageKind(BytesView message) {
 }
 
 Bytes InvokeRequestMsg::Encode() const {
-  BufferWriter writer = StartMessage(MessageKind::kInvokeRequest);
+  BufferWriter writer = StartMessage(
+      MessageKind::kInvokeRequest,
+      kMaxVarintBytes + operation.size() + args.EncodedSizeBound() +
+          kMaxVarintBytes + 4 * avoid_hosts.size());
   writer.WriteU64(invocation_id);
   writer.WriteU32(reply_to);
   target.Encode(writer);
@@ -70,7 +81,8 @@ StatusOr<InvokeRequestMsg> InvokeRequestMsg::Decode(BytesView message) {
 }
 
 Bytes InvokeReplyMsg::Encode() const {
-  BufferWriter writer = StartMessage(MessageKind::kInvokeReply);
+  BufferWriter writer =
+      StartMessage(MessageKind::kInvokeReply, result.EncodedSizeBound());
   writer.WriteU64(invocation_id);
   result.Encode(writer);
   writer.WriteBool(target_frozen);
@@ -217,7 +229,8 @@ StatusOr<MoveAckMsg> MoveAckMsg::Decode(BytesView message) {
 }
 
 Bytes CheckpointPutMsg::Encode() const {
-  BufferWriter writer = StartMessage(MessageKind::kCheckpointPut);
+  BufferWriter writer = StartMessage(MessageKind::kCheckpointPut,
+                                     kMaxVarintBytes + record.size());
   writer.WriteU64(request_id);
   writer.WriteU32(reply_to);
   name.Encode(writer);

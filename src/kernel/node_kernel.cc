@@ -482,10 +482,13 @@ void NodeKernel::SendRequestTo(uint64_t id, StationId host) {
   msg.reply_to = station();
   msg.target = pending.target;
   msg.operation = pending.operation;
-  msg.args = pending.args;
   msg.avoid_hosts.assign(pending.dead_hosts.begin(), pending.dead_hosts.end());
   msg.span = pending.span;
+  // The encoder borrows the args; the pending invocation keeps them for a
+  // retry or a redirect.
+  msg.args = std::move(pending.args);
   Bytes encoded = msg.Encode();
+  pending.args = std::move(msg.args);
 
   sim().Cancel(pending.attempt_timer);
   pending.attempt_timer =
@@ -761,7 +764,7 @@ void NodeKernel::OnMessage(StationId src, BytesView message) {
     case MessageKind::kInvokeReply: {
       auto msg = InvokeReplyMsg::Decode(message);
       if (msg.ok()) {
-        HandleInvokeReply(src, *msg);
+        HandleInvokeReply(src, std::move(*msg));
       }
       break;
     }
@@ -976,7 +979,7 @@ void NodeKernel::HandleInvokeRequest(StationId src, InvokeRequestMsg msg) {
   transport_->SendReliable(reply_to, redirect.Encode());
 }
 
-void NodeKernel::HandleInvokeReply(StationId src, const InvokeReplyMsg& msg) {
+void NodeKernel::HandleInvokeReply(StationId src, InvokeReplyMsg msg) {
   auto it = pending_invocations_.find(msg.invocation_id);
   if (it == pending_invocations_.end()) {
     return;
@@ -994,7 +997,7 @@ void NodeKernel::HandleInvokeReply(StationId src, const InvokeReplyMsg& msg) {
           lease->second.expiry, static_cast<SimTime>(msg.lease_renew_expiry));
     }
   }
-  CompleteInvocation(msg.invocation_id, msg.result);
+  CompleteInvocation(msg.invocation_id, std::move(msg.result));
   if (msg.target_frozen && config_.cache_frozen_replicas &&
       replicas_.count(name) == 0 && active_.count(name) == 0) {
     MaybeFetchReplica(name, src, inv_span);
@@ -1205,8 +1208,10 @@ DetachedTask NodeKernel::RunInvocation(std::shared_ptr<ActiveObject> object,
     FinishDispatch(object, class_index);
     co_return;
   }
-  InvokeContext context(this, object, d.request.operation, d.request.args,
-                        d.request.target.rights(), d.span);
+  // The request is spent: its operation name and args move into the context.
+  InvokeContext context(this, object, std::move(d.request.operation),
+                        std::move(d.request.args), d.request.target.rights(),
+                        d.span);
   InvokeResult result = co_await op->handler(context);
   if (d.lease_mutator) {
     object->lease_mutators_pending--;
@@ -1219,7 +1224,7 @@ DetachedTask NodeKernel::RunInvocation(std::shared_ptr<ActiveObject> object,
   }
   // Even if the object crashed or moved while we ran, the invoker gets the
   // produced reply (the work happened); bookkeeping checks map identity.
-  ReplyTo(d, result, object->frozen, lease_renew_expiry);
+  ReplyTo(d, std::move(result), object->frozen, lease_renew_expiry);
   FinishDispatch(object, class_index);
 }
 
@@ -1271,8 +1276,8 @@ void NodeKernel::ReplyTo(const PendingDispatch& d, InvokeResult result,
                       : std::string(StatusCodeName(result.status.code())));
   if (d.local) {
     SimDuration cost = SerializeCost(result.results.TotalBytes());
-    sim().Schedule(cost, [this, id, result = std::move(result)] {
-      CompleteInvocation(id, result);
+    sim().Schedule(cost, [this, id, result = std::move(result)]() mutable {
+      CompleteInvocation(id, std::move(result));
     });
     return;
   }
@@ -1303,8 +1308,25 @@ void NodeKernel::RefuseDispatch(const PendingDispatch& d, Status status) {
 
 void NodeKernel::CacheReply(uint64_t invocation_id, const ObjectName& object,
                             const InvokeResult& result, bool frozen) {
-  reply_cache_[invocation_id] = CachedReply{result, frozen, object};
+  CachedReply entry{result, frozen, object};
   reply_cache_order_.push_back(invocation_id);
+  // At capacity the oldest entry goes, and its map node carries the new one.
+  // Evicting first is the same as evicting after the insert unless the new
+  // id is already cached or is itself the oldest; those keep the plain path.
+  decltype(reply_cache_)::node_type reused;
+  if (reply_cache_order_.size() > config_.reply_cache_capacity &&
+      reply_cache_order_.front() != invocation_id &&
+      !reply_cache_.contains(invocation_id)) {
+    reused = reply_cache_.extract(reply_cache_order_.front());
+    reply_cache_order_.pop_front();
+  }
+  if (reused) {
+    reused.key() = invocation_id;
+    reused.mapped() = std::move(entry);
+    reply_cache_.insert(std::move(reused));
+  } else {
+    reply_cache_[invocation_id] = std::move(entry);
+  }
   while (reply_cache_order_.size() > config_.reply_cache_capacity) {
     reply_cache_.erase(reply_cache_order_.front());
     reply_cache_order_.pop_front();

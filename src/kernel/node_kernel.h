@@ -389,7 +389,7 @@ class NodeKernel {
   // --- Message plumbing --------------------------------------------------------
   void OnMessage(StationId src, BytesView message);
   void HandleInvokeRequest(StationId src, InvokeRequestMsg msg);
-  void HandleInvokeReply(StationId src, const InvokeReplyMsg& msg);
+  void HandleInvokeReply(StationId src, InvokeReplyMsg msg);
   void HandleInvokeRedirect(StationId src, const InvokeRedirectMsg& msg);
   void HandleLocateRequest(StationId src, const LocateRequestMsg& msg);
   void HandleLocateReply(const LocateReplyMsg& msg);

@@ -316,8 +316,9 @@ void Lan::HandleCollision(Station* first, Station* second) {
 void Lan::ScheduleRetry(Station* station, bool after_collision) {
   station->attempt_++;
   if (station->attempt_ >= config_.max_transmit_attempts) {
-    EDEN_LOG(kWarning, "lan") << "station " << station->id_
-                              << " dropped frame after excessive collisions";
+    // Expected at saturation, and lan.transmit_failures counts it.
+    EDEN_LOG(kDebug, "lan") << "station " << station->id_
+                            << " dropped frame after excessive collisions";
     stats_.transmit_failures++;
     Bump(metrics_.transmit_failures);
     station->queue_.pop_front();
@@ -387,18 +388,19 @@ void Lan::FinishTransmission(Station* station, Frame frame) {
     stations_[dst]->Deliver(f);
   };
 
-  auto shared = std::make_shared<Frame>(std::move(frame));
-  sim_.Schedule(config_.propagation_delay, [this, shared, deliver_to] {
-    if (shared->dst == kBroadcastStation) {
-      for (StationId id = 0; id < stations_.size(); id++) {
-        if (id != shared->src) {
-          deliver_to(shared->src, id, *shared);
-        }
-      }
-    } else {
-      deliver_to(shared->src, shared->dst, *shared);
-    }
-  });
+  // The frame rides inside the event (EventFn holds it inline).
+  sim_.Schedule(config_.propagation_delay,
+                [this, frame = std::move(frame), deliver_to] {
+                  if (frame.dst == kBroadcastStation) {
+                    for (StationId id = 0; id < stations_.size(); id++) {
+                      if (id != frame.src) {
+                        deliver_to(frame.src, id, frame);
+                      }
+                    }
+                  } else {
+                    deliver_to(frame.src, frame.dst, frame);
+                  }
+                });
 
   if (!station->queue_.empty()) {
     sim_.Schedule(config_.interframe_gap, [this, station] {
@@ -452,9 +454,8 @@ void Lan::DeliverWithFaults(StationId dst, const Frame& frame,
   if (decision.extra_delay > 0) {
     stats_.frames_delayed++;
     Bump(metrics_.frames_delayed);
-    auto shared = std::make_shared<Frame>(copy);
     sim_.Schedule(decision.extra_delay,
-                  [shared, deliver_copy] { deliver_copy(*shared); });
+                  [copy, deliver_copy] { deliver_copy(copy); });
   } else {
     deliver_copy(copy);
   }
@@ -462,9 +463,8 @@ void Lan::DeliverWithFaults(StationId dst, const Frame& frame,
   if (decision.duplicate) {
     stats_.frames_duplicated++;
     Bump(metrics_.frames_duplicated);
-    auto shared = std::make_shared<Frame>(std::move(copy));
     sim_.Schedule(decision.extra_delay + config_.slot_time,
-                  [shared, deliver_copy] { deliver_copy(*shared); });
+                  [copy = std::move(copy), deliver_copy] { deliver_copy(copy); });
   }
 }
 

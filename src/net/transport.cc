@@ -20,19 +20,27 @@ constexpr size_t kFragmentHeaderBytes = 28;
 // Worst-case wire cost of one piggybacked ACK id (u64, plus varint growth).
 constexpr size_t kAckIdBytes = 9;
 
-// Checksums the kind tag, `payload` (the header bytes after kind+crc) and
-// `body`, and returns the completed frame header. The kind byte must be
-// covered: a flip there would otherwise route the frame to the wrong (or no)
-// handler while the rest of the checksum still verifies.
-Bytes SealFrame(uint8_t kind, BufferWriter& payload, const SharedBytes& body) {
-  uint32_t crc = Crc32Begin();
-  crc = Crc32Update(crc, &kind, 1);
-  crc = Crc32Update(crc, payload.buffer().data(), payload.size());
-  crc = Crc32Update(crc, body.data(), body.size());
-  BufferWriter header;
+// Opens a frame header of at most `capacity` bytes: the kind tag, then a
+// CRC placeholder that SealFrame fills in once the fields are written.
+BufferWriter StartFrame(uint8_t kind, size_t capacity) {
+  BufferWriter header(capacity);
   header.WriteU8(kind);
-  header.WriteU32(Crc32End(crc));
-  header.WriteRaw(payload.buffer().data(), payload.size());
+  header.WriteU32(0);
+  return header;
+}
+
+// Checksums the kind tag, the header bytes after the CRC and `body`, writes
+// the CRC into its placeholder and returns the completed header. The kind
+// byte must be covered: a flip there would otherwise route the frame to the
+// wrong (or no) handler while the rest of the checksum still verifies.
+Bytes SealFrame(BufferWriter& header, const SharedBytes& body) {
+  const Bytes& bytes = header.buffer();
+  uint32_t crc = Crc32Begin();
+  crc = Crc32Update(crc, bytes.data(), 1);
+  crc = Crc32Update(crc, bytes.data() + kFrameChecksumBytes,
+                    bytes.size() - kFrameChecksumBytes);
+  crc = Crc32Update(crc, body.data(), body.size());
+  header.PatchU32(1, Crc32End(crc));
   return header.Take();
 }
 }  // namespace
@@ -110,19 +118,27 @@ void Transport::TransmitFragments(PendingSend& pending) {
   size_t max_chunk = lan_.config().max_payload_bytes - kFragmentHeaderBytes;
   size_t size = pending.message.size();
   size_t count = size == 0 ? 1 : (size + max_chunk - 1) / max_chunk;
+  auto acks = pending_acks_.find(pending.dst);
+  std::vector<uint64_t>* ack_ids =
+      acks == pending_acks_.end() ? nullptr : &acks->second;
   for (size_t i = 0; i < count; i++) {
     size_t offset = i * max_chunk;
     size_t len = std::min(max_chunk, size - offset);
-    BufferWriter writer;
-    writer.WriteU64(pending.msg_id);
-    writer.WriteBool(pending.reliable);
-    writer.WriteVarint(i);
-    writer.WriteVarint(count);
-    AppendPiggybackAcks(writer, pending.dst, len);
+    size_t ack_room = 0;
+    if (ack_ids != nullptr) {
+      ack_room = std::min(ack_ids->size(), config_.max_acks_per_frame);
+    }
+    BufferWriter header =
+        StartFrame(kData, kFragmentHeaderBytes + ack_room * kAckIdBytes);
+    header.WriteU64(pending.msg_id);
+    header.WriteBool(pending.reliable);
+    header.WriteVarint(i);
+    header.WriteVarint(count);
+    AppendPiggybackAcks(header, ack_ids, len);
     Frame frame;
     frame.dst = pending.dst;
     frame.body = pending.message.Slice(offset, len);
-    frame.header = SealFrame(kData, writer, frame.body);
+    frame.header = SealFrame(header, frame.body);
     station_->Send(std::move(frame));
     stats_.fragments_sent++;
     Bump(counters_.fragments_sent);
@@ -214,33 +230,29 @@ void Transport::OnRetryTimer() {
 // ACK coalescing: piggyback on data frames, else delay and batch
 // ---------------------------------------------------------------------------
 
-void Transport::AppendPiggybackAcks(BufferWriter& writer, StationId dst,
+void Transport::AppendPiggybackAcks(BufferWriter& header,
+                                    std::vector<uint64_t>* ids,
                                     size_t body_bytes) {
   size_t n = 0;
-  auto it = pending_acks_.find(dst);
-  if (it != pending_acks_.end() && !it->second.empty()) {
-    // +1: the count varint; the kind+CRC prefix is added by SealFrame later.
-    size_t used = kFrameChecksumBytes + writer.size() + body_bytes + 1;
+  if (ids != nullptr && !ids->empty()) {
+    // +1: the count varint.
+    size_t used = header.size() + body_bytes + 1;
     size_t max_payload = lan_.config().max_payload_bytes;
     size_t slack = max_payload > used ? max_payload - used : 0;
-    n = std::min({it->second.size(), config_.max_acks_per_frame,
-                  slack / kAckIdBytes});
+    n = std::min(
+        {ids->size(), config_.max_acks_per_frame, slack / kAckIdBytes});
   }
-  writer.WriteVarint(n);
+  header.WriteVarint(n);
   if (n == 0) {
     return;
   }
-  std::vector<uint64_t>& ids = it->second;
   for (size_t j = 0; j < n; j++) {
-    writer.WriteU64(ids[j]);
+    header.WriteU64((*ids)[j]);
   }
-  ids.erase(ids.begin(), ids.begin() + static_cast<ptrdiff_t>(n));
+  ids->erase(ids->begin(), ids->begin() + static_cast<ptrdiff_t>(n));
   pending_ack_total_ -= n;
   stats_.acks_piggybacked += n;
   Bump(counters_.acks_piggybacked, n);
-  if (ids.empty()) {
-    pending_acks_.erase(it);
-  }
   MaybeCancelAckTimer();
 }
 
@@ -250,7 +262,6 @@ void Transport::QueueAck(StationId peer, uint64_t msg_id) {
   pending_ack_total_++;
   if (config_.ack_delay == 0 || ids.size() >= config_.max_acks_per_frame) {
     FlushPeerAcks(peer, ids);
-    pending_acks_.erase(peer);
     MaybeCancelAckTimer();
     return;
   }
@@ -266,14 +277,16 @@ void Transport::FlushPeerAcks(StationId peer, std::vector<uint64_t>& ids) {
   for (size_t start = 0; start < ids.size();
        start += config_.max_acks_per_frame) {
     size_t n = std::min(config_.max_acks_per_frame, ids.size() - start);
-    BufferWriter writer;
-    writer.WriteVarint(n);
+    // +1 id's worth of room for the count varint.
+    BufferWriter header =
+        StartFrame(kAck, kFrameChecksumBytes + (n + 1) * kAckIdBytes);
+    header.WriteVarint(n);
     for (size_t j = 0; j < n; j++) {
-      writer.WriteU64(ids[start + j]);
+      header.WriteU64(ids[start + j]);
     }
     Frame ack;
     ack.dst = peer;
-    ack.header = SealFrame(kAck, writer, ack.body);
+    ack.header = SealFrame(header, ack.body);
     station_->Send(std::move(ack));
     stats_.acks_sent++;
     stats_.ack_ids_sent += n;
@@ -287,7 +300,6 @@ void Transport::FlushAllAcks() {
   for (auto& [peer, ids] : pending_acks_) {
     FlushPeerAcks(peer, ids);
   }
-  pending_acks_.clear();
 }
 
 void Transport::MaybeCancelAckTimer() {

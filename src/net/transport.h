@@ -11,21 +11,26 @@
 // semantics (invocation timeouts, duplicate invocation suppression) are the
 // kernel's job, exactly as the paper divides responsibilities in section 4.2.
 //
-// Fast-path engineering (DESIGN.md "Performance"):
+// Fast-path engineering (DESIGN.md §9, "Performance"):
 //   * Zero-copy payloads: an outgoing message is moved into a refcounted
 //     SharedBytes; fragments are slices of it riding Frame::body, and the
 //     receiver reassembles by re-slicing. A single-fragment message — the
 //     common case — reaches the handler without a single payload copy and
 //     without touching the reassembly table.
+//   * One buffer per frame header, sized before it is written: the kind
+//     byte, a CRC placeholder, the fields and the ACK block. Sealing fills
+//     in the CRC in place.
 //   * Coalesced ACKs: completed message ids are piggybacked on the next data
 //     frame to that peer, or batched into one ACK frame after ack_delay.
+//     Each peer's ACK queue persists between flushes, so queueing an ACK
+//     reuses its vector.
 //   * One retransmit timer per transport (a deadline min-heap), not one
 //     simulation event per in-flight message.
 //   * Slicing-by-8 CRC-32 (src/common/bytes): the three checksum calls per
 //     frame fold eight bytes per table step, with bit-identical values.
 //   * A flat duplicate-suppression window per peer (PeerHistory): a ring of
 //     the last dedup_window delivered ids plus an open-addressed index into
-//     it, so a delivery allocates nothing once the window is full.
+//     it, which allocates nothing per delivery once the window is full.
 #ifndef EDEN_SRC_NET_TRANSPORT_H_
 #define EDEN_SRC_NET_TRANSPORT_H_
 
@@ -219,8 +224,9 @@ class Transport {
   void AckMsgId(uint64_t msg_id);
   void TransmitFragments(PendingSend& pending);
   // Writes the piggybacked-ACK block into a data frame header, consuming as
-  // many of `dst`'s pending ACK ids as fit beside `body_bytes` of payload.
-  void AppendPiggybackAcks(BufferWriter& writer, StationId dst,
+  // many of the destination's pending ACK `ids` (nullptr: none queued) as
+  // fit beside `body_bytes` of payload.
+  void AppendPiggybackAcks(BufferWriter& header, std::vector<uint64_t>* ids,
                            size_t body_bytes);
   void QueueAck(StationId peer, uint64_t msg_id);
   void FlushPeerAcks(StationId peer, std::vector<uint64_t>& ids);
@@ -256,7 +262,9 @@ class Transport {
   EventId retry_timer_ = kInvalidEventId;
   SimTime retry_timer_at_ = 0;
 
-  // std::map: ACK flush order must be deterministic across runs.
+  // Per-peer ACK queues, kept (empty) between flushes so queueing an ACK
+  // reuses the peer's vector. std::map: ACK flush order must be
+  // deterministic across runs.
   std::map<StationId, std::vector<uint64_t>> pending_acks_;
   size_t pending_ack_total_ = 0;
   EventId ack_timer_ = kInvalidEventId;

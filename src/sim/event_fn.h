@@ -1,12 +1,11 @@
 // Small-buffer-optimized, move-only callable for simulation events.
 //
 // The event loop is the hottest code in the repository: every frame hop,
-// timer and retransmit allocates one of these. std::function heap-allocates
+// timer and retransmit constructs one of these. std::function heap-allocates
 // any capture that is not trivially copyable (a lambda holding a shared_ptr,
 // for instance), and always costs a type-erased copy even when it fits
 // inline. EventFn instead stores any callable up to kInlineBytes directly in
-// the object — enough for every lambda the kernel, LAN and transport
-// schedule — and only falls back to the heap for oversized captures. It is
+// the object and only falls back to the heap for oversized captures. It is
 // move-only (events fire once; nothing ever copies them) and invocation is
 // one indirect call, same as std::function.
 #ifndef EDEN_SRC_SIM_EVENT_FN_H_
@@ -21,9 +20,11 @@ namespace eden {
 
 class EventFn {
  public:
-  // Inline capture budget: this*2 + shared_ptr + a couple of ids covers the
-  // largest lambdas on the hot path (see Lan::FinishTransmission).
-  static constexpr size_t kInlineBytes = 48;
+  // Inline capture budget. It holds the largest per-message captures: the
+  // CSMA delivery event's Frame by value (Lan::FinishTransmission) and the
+  // kernel's send and reply events (this, a station, a SpanContext and the
+  // encoded Bytes). Timers with a few ids or pointers fit with room to spare.
+  static constexpr size_t kInlineBytes = 96;
 
   EventFn() noexcept = default;
 

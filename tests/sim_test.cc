@@ -377,6 +377,15 @@ TEST(BytesTest, WriterReaderRoundTripAllTypes) {
   writer.WriteDouble(3.25);
   Bytes buffer = writer.Take();
 
+  // Fixed-width fields are little-endian whatever the host byte order.
+  const Bytes fixed_width = {0x34, 0x12,                    // u16
+                             0xef, 0xbe, 0xad, 0xde,        // u32
+                             0xef, 0xcd, 0xab, 0x89,        // u64
+                             0x67, 0x45, 0x23, 0x01};
+  ASSERT_GE(buffer.size(), 1 + fixed_width.size());
+  EXPECT_EQ(Bytes(buffer.begin() + 1, buffer.begin() + 1 + fixed_width.size()),
+            fixed_width);
+
   BufferReader reader(buffer);
   EXPECT_EQ(reader.ReadU8().value(), 0xab);
   EXPECT_EQ(reader.ReadU16().value(), 0x1234);
