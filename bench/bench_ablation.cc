@@ -96,8 +96,8 @@ void BM_AblateRetransmitTimeout(benchmark::State& state) {
     }
   }
   state.counters["failures"] = static_cast<double>(failures);
-  state.counters["retransmits"] =
-      static_cast<double>(system.node(2).transport().stats().retransmits);
+  state.counters["retransmits"] = static_cast<double>(
+      system.node(2).metrics().CounterValue("transport.retransmits"));
 }
 BENCHMARK(BM_AblateRetransmitTimeout)
     ->Arg(5)

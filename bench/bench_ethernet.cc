@@ -77,7 +77,8 @@ void BM_EthernetLoad(benchmark::State& state) {
         Bytes payload = writer.Take();
         payload.resize(kFrameBytes, 0);
         size_t dst = (s + 1 + arrivals.NextBelow(stations - 1)) % stations;
-        senders[s]->Send(Frame{0, senders[dst]->id(), std::move(payload)});
+        senders[s]->Send(
+            Frame{.dst = senders[dst]->id(), .header = std::move(payload)});
         schedule_next(s);
       });
     };

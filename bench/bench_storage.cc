@@ -115,7 +115,8 @@ void BM_CheckpointSaturated(benchmark::State& state) {
   // both modes; the steady state is what the benchmark times.
   run_round();
 
-  uint64_t bytes_before = system.node(0).store().stats().written_bytes;
+  const MetricsRegistry& metrics = system.node(0).metrics();
+  uint64_t bytes_before = metrics.CounterValue("store.written_bytes");
   for (auto _ : state) {
     SimTime start = system.sim().now();
     run_round();
@@ -123,7 +124,7 @@ void BM_CheckpointSaturated(benchmark::State& state) {
     total_checkpoints += kObjects;
   }
   uint64_t bytes_written =
-      system.node(0).store().stats().written_bytes - bytes_before;
+      metrics.CounterValue("store.written_bytes") - bytes_before;
   state.counters["ckpt_per_vsec"] = benchmark::Counter(
       static_cast<double>(total_checkpoints), benchmark::Counter::kIsRate);
   state.counters["bytes_per_ckpt"] = benchmark::Counter(

@@ -4,7 +4,8 @@
 #   1. Configure + build the default (RelWithDebInfo) tree and run the whole
 #      test suite (the `check` target).
 #   2. Configure + build an ASan+UBSan tree at build-asan and run the suite
-#      there too (catches lifetime bugs the fast build hides).
+#      there too (catches lifetime bugs the fast build hides). This tree
+#      also treats compiler warnings as errors, so a new warning fails CI.
 #   3. Smoke-run the storage benchmark (--quick) so the perf harness itself
 #      stays green; the JSON export lands in the asan build dir and is
 #      discarded.
@@ -24,14 +25,16 @@
 #        lease       hot-object read mix with leases off/on, plus the recall round (E17)
 #        membership  drain evacuation and rolling-restart p99, zero lost invocations (E18)
 #        telemetry   telemetry must add no simulated work; bundles are byte-identical (E19)
-#  10. Parallel-engine smoke: build the sharded-engine determinism suite under
-#      TSan at build-tsan and run it (the threaded RunUntil windows, the SPSC
-#      channels and the horizon protocol are the only concurrent code in the
-#      repo — a data race there silently breaks the determinism oracle), then
-#      smoke-run bench_throughput --quick, whose BM_ShardedSaturated series
-#      sweeps 1/2/4/8 shards at 64 and 256 nodes. The sweep's wall-clock
-#      speedup is NOT gated: it depends on host core count (a 1-core CI box
-#      legitimately measures ~1x). The determinism gate is the ctest suite.
+#  10. Parallel-engine smoke: build the sharded-engine determinism suite and
+#      the telemetry suite under TSan at build-tsan and run them (the threaded
+#      RunUntil windows, the SPSC channels and the horizon protocol are the
+#      only concurrent code in the repo — a data race there silently breaks
+#      the determinism oracle — and telemetry's per-shard scrape chains run on
+#      the shard threads), then smoke-run bench_throughput --quick, whose
+#      BM_ShardedSaturated series sweeps 1/2/4/8 shards at 64 and 256 nodes.
+#      The sweep's wall-clock speedup is NOT gated: it depends on host core
+#      count (a 1-core CI box legitimately measures ~1x). The determinism
+#      gate is the ctest suite.
 #  11. Benchmark smoke: one short untraced run of every edenbench workload
 #      (edenbench/README.md). Host timings are not gated here; the point is
 #      the benchmark's own output checks, any of which fails the run:
@@ -55,7 +58,8 @@ cmake --build "$repo_root/build" --target check
 echo "== ASan+UBSan build + tests =="
 cmake -B "$repo_root/build-asan" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=Debug \
-  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer"
+  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer" \
+  -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build "$repo_root/build-asan" -j "$jobs"
 (cd "$repo_root/build-asan" && ctest --output-on-failure)
 
@@ -86,12 +90,14 @@ membership smoke (elastic membership under ASan + restart-SLO gate)|membership_t
 telemetry smoke (pipeline under ASan + flight-recorder gate)|telemetry_test|telemetry_test|TelemetryChaos.*|bench_observability
 EOF
 
-echo "== TSan build + parallel determinism suite =="
+echo "== TSan build + parallel determinism and telemetry suites =="
 cmake -B "$repo_root/build-tsan" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
-cmake --build "$repo_root/build-tsan" -j "$jobs" --target parallel_sim_test
+cmake --build "$repo_root/build-tsan" -j "$jobs" \
+  --target parallel_sim_test telemetry_test
 "$repo_root/build-tsan/tests/parallel_sim_test"
+"$repo_root/build-tsan/tests/telemetry_test"
 
 echo "== sharded engine smoke (shard sweep, quick) =="
 "$repo_root/build/bench/bench_throughput" --quick \

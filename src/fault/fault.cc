@@ -74,12 +74,10 @@ class FaultInjector::NodeDiskHook : public DiskFaultHook {
     if (config_.write_error_probability > 0 &&
         rng.NextBool(config_.write_error_probability)) {
       fault.error = true;
-      owner_->stats_.disk_write_errors++;
       owner_->Emit("disk.write_error", node_);
     } else if (config_.torn_write_probability > 0 &&
                rng.NextBool(config_.torn_write_probability)) {
       fault.torn = true;
-      owner_->stats_.disk_torn_writes++;
       owner_->Emit("disk.torn_write", node_);
     }
     return fault;
@@ -90,7 +88,6 @@ class FaultInjector::NodeDiskHook : public DiskFaultHook {
         !owner_->disk_rng_.NextBool(config_.latent_corruption_probability)) {
       return false;
     }
-    owner_->stats_.disk_latent_corruptions++;
     owner_->Emit("disk.latent_corruption", node_);
     return true;
   }
@@ -100,7 +97,6 @@ class FaultInjector::NodeDiskHook : public DiskFaultHook {
         !owner_->disk_rng_.NextBool(config_.read_soft_error_probability)) {
       return 0;
     }
-    owner_->stats_.disk_read_soft_errors++;
     owner_->Emit("disk.read_soft_error", node_);
     return 1 + static_cast<int>(owner_->disk_rng_.NextBelow(3));
   }
@@ -110,7 +106,6 @@ class FaultInjector::NodeDiskHook : public DiskFaultHook {
         !owner_->disk_rng_.NextBool(config_.degraded_probability)) {
       return 1.0;
     }
-    owner_->stats_.disk_degraded_services++;
     owner_->Emit("disk.degraded", node_);
     return config_.degraded_factor;
   }
@@ -164,20 +159,17 @@ WireFaultHook::Decision FaultInjector::OnDeliver(StationId, StationId dst,
   const WireFaultConfig& wire = plan_.wire;
   if (wire.drop_probability > 0 && wire_rng_.NextBool(wire.drop_probability)) {
     decision.drop = true;
-    stats_.wire_dropped++;
     Emit("wire.drop", dst);
     return decision;
   }
   if (wire.corrupt_probability > 0 &&
       wire_rng_.NextBool(wire.corrupt_probability)) {
     decision.corrupt = true;
-    stats_.wire_corrupted++;
     Emit("wire.corrupt", dst);
   }
   if (wire.duplicate_probability > 0 &&
       wire_rng_.NextBool(wire.duplicate_probability)) {
     decision.duplicate = true;
-    stats_.wire_duplicated++;
     Emit("wire.duplicate", dst);
   }
   if (wire.delay_probability > 0 && wire.max_extra_delay > 0 &&
@@ -185,7 +177,6 @@ WireFaultHook::Decision FaultInjector::OnDeliver(StationId, StationId dst,
     decision.extra_delay =
         1 + static_cast<SimDuration>(
                 wire_rng_.NextBelow(static_cast<uint64_t>(wire.max_extra_delay)));
-    stats_.wire_delayed++;
     Emit("wire.delay", dst);
   }
   return decision;
@@ -205,17 +196,14 @@ DiskFaultHook* FaultInjector::DiskHookFor(size_t node) {
 }
 
 void FaultInjector::RecordPartitionEpoch() {
-  stats_.partition_epochs++;
   Emit("partition.epoch", kNoFaultSite);
 }
 
 void FaultInjector::RecordNodeFailure(size_t node) {
-  stats_.node_failures++;
   Emit("node.fail", static_cast<uint32_t>(node));
 }
 
 void FaultInjector::RecordNodeRestart(size_t node) {
-  stats_.node_restarts++;
   Emit("node.restart", static_cast<uint32_t>(node));
 }
 

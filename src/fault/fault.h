@@ -11,9 +11,10 @@
 // layer, which keeps the dependency graph acyclic (the kernel links fault,
 // not the other way around).
 //
-// Everything injected is counted (FaultStats, fault.* metrics) and optionally
-// narrated through an event sink so traces show faults interleaved with the
-// recoveries they provoke.
+// Everything injected is counted once, as fault.<kind> in the registry given
+// to set_metrics (EdenSystem passes its own), and optionally narrated through
+// an event sink so traces show faults interleaved with the recoveries they
+// provoke.
 #ifndef EDEN_SRC_FAULT_FAULT_H_
 #define EDEN_SRC_FAULT_FAULT_H_
 
@@ -94,21 +95,6 @@ struct FaultPlan {
                                  SimTime start, SimTime end);
 };
 
-struct FaultStats {
-  uint64_t wire_corrupted = 0;
-  uint64_t wire_duplicated = 0;
-  uint64_t wire_delayed = 0;
-  uint64_t wire_dropped = 0;
-  uint64_t disk_write_errors = 0;
-  uint64_t disk_torn_writes = 0;
-  uint64_t disk_read_soft_errors = 0;
-  uint64_t disk_latent_corruptions = 0;
-  uint64_t disk_degraded_services = 0;
-  uint64_t partition_epochs = 0;
-  uint64_t node_failures = 0;
-  uint64_t node_restarts = 0;
-};
-
 class FaultInjector : public WireFaultHook {
  public:
   FaultInjector(Simulation& sim, FaultPlan plan);
@@ -120,7 +106,7 @@ class FaultInjector : public WireFaultHook {
   // WireFaultHook: one decision per frame delivery, seeded.
   Decision OnDeliver(StationId src, StationId dst, size_t wire_bytes) override;
 
-  // The disk hook for node `node` (its config, shared injector rng/stats).
+  // The disk hook for node `node` (its config, the shared injector rng).
   // The pointer stays valid for the injector's lifetime.
   DiskFaultHook* DiskHookFor(size_t node);
 
@@ -130,7 +116,9 @@ class FaultInjector : public WireFaultHook {
     return now >= plan_.start && now < plan_.end;
   }
 
-  // Mirrors FaultStats into `registry` under fault.* names; nullptr detaches.
+  // Counts each injected fault into `registry` as fault.<kind> (the sink's
+  // kind tag, e.g. fault.wire.corrupt); with no registry nothing is counted.
+  // nullptr detaches.
   void set_metrics(MetricsRegistry* registry);
 
   // Optional narration: called once per injected fault with a short kind tag
@@ -143,13 +131,12 @@ class FaultInjector : public WireFaultHook {
 
   // Timeline bookkeeping: EdenSystem applies the partition/crash schedules
   // (it owns the Lan and the kernels) and reports each application here so
-  // stats, metrics and the sink see one coherent stream.
+  // the counters and the sink see one coherent stream.
   void RecordPartitionEpoch();
   void RecordNodeFailure(size_t node);
   void RecordNodeRestart(size_t node);
 
   const FaultPlan& plan() const { return plan_; }
-  const FaultStats& stats() const { return stats_; }
 
  private:
   class NodeDiskHook;
@@ -161,7 +148,6 @@ class FaultInjector : public WireFaultHook {
   FaultPlan plan_;
   Rng wire_rng_;
   Rng disk_rng_;
-  FaultStats stats_;
   MetricsRegistry* registry_ = nullptr;
   EventSink sink_;
   std::vector<std::unique_ptr<NodeDiskHook>> disk_hooks_;

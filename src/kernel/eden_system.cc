@@ -448,10 +448,10 @@ std::shared_ptr<TypeManager> EdenSystem::FindType(const std::string& type_name) 
   return it->second;
 }
 
+void EdenSystem::PublishLanCounts() const { lan_.SyncMetrics(); }
+
 MetricsRegistry EdenSystem::Rollup() const {
-  // Switched mode defers its wire counters (they are per-station for thread
-  // safety); fold the outstanding deltas into metrics_ first.
-  lan_.SyncMetrics();
+  PublishLanCounts();
   MetricsRegistry rollup;
   rollup.MergeFrom(metrics_);
   for (const auto& node : nodes_) {

@@ -185,7 +185,7 @@ class EdenSystem {
   // Arms `plan`: installs the injector's wire hook on the Lan and its disk
   // hooks on every node's stable store (nodes added later are hooked as they
   // are built), schedules the plan's partition and crash-restart timelines,
-  // and mirrors injected-fault counts into metrics() under fault.*. Every
+  // and counts each injected fault once, as fault.<kind> in metrics(). Every
   // injected fault is also reported to the telemetry flight recorder, when
   // telemetry is on. Call at most once.
   void EnableFaults(const FaultPlan& plan);
@@ -218,15 +218,23 @@ class EdenSystem {
   std::shared_ptr<TypeManager> FindType(const std::string& type_name) const;
 
   // --- Metrics ---------------------------------------------------------------
-  // The system-wide registry: lan.* instruments live here.
+  // The system-wide registry: the lan.* and fault.* instruments live here.
+  // The LAN counts per station, so its lan.* counters are current only after
+  // PublishLanCounts() (which Rollup() and each unsharded telemetry scrape
+  // call); lan.queue_delay is recorded as frames go out.
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 
+  // Publishes the LAN's per-station counts accrued since the last call to
+  // the lan.* counters of metrics(), in both media. Under the sharded
+  // engine, call it only between runs (shards quiescent).
+  void PublishLanCounts() const;
+
   // Aggregates the system registry plus every node's registry into one
-  // snapshot: counters and gauges sum, histograms merge bucket-wise. Under
-  // the sharded engine this also syncs the LAN's deferred per-station
-  // counters and the per-shard span-phase registries; call it only between
-  // runs (shards quiescent).
+  // snapshot: counters and gauges sum, histograms merge bucket-wise. It
+  // first publishes the LAN's counts (PublishLanCounts) and, under the
+  // sharded engine, folds the per-shard span-phase registries; call it only
+  // between runs (shards quiescent).
   MetricsRegistry Rollup() const;
 
   // JSON rendering of Rollup() (see MetricsRegistry::ToJson for the shape).

@@ -45,10 +45,6 @@ void Lan::set_metrics(MetricsRegistry* registry) {
   metrics_.transmit_failures = &registry->counter("lan.transmit_failures");
   metrics_.bytes_on_wire = &registry->counter("lan.bytes_on_wire");
   metrics_.queue_delay = &registry->histogram("lan.queue_delay");
-  metrics_.frames_corrupted = &registry->counter("lan.frames_corrupted");
-  metrics_.frames_duplicated = &registry->counter("lan.frames_duplicated");
-  metrics_.frames_delayed = &registry->counter("lan.frames_delayed");
-  metrics_.frames_dropped_fault = &registry->counter("lan.frames_dropped_fault");
 }
 
 Lan::~Lan() = default;
@@ -91,7 +87,7 @@ void Lan::ReattachStation(StationId station) {
 }
 
 void Lan::EnableSwitched() {
-  assert(stats_.frames_sent == 0 && "switch modes before any traffic");
+  assert(stats().frames_sent == 0 && "switch modes before any traffic");
   if (config_.switched) {
     return;
   }
@@ -114,7 +110,7 @@ void Lan::SwitchedSend(Station* station, Frame frame) {
   Simulation& owner = *station->sim_;
   frame.enqueued_at = owner.now();
   if (detached_[station->id_]) {
-    station->wire_stats_.transmit_failures++;
+    station->stats_.transmit_failures++;
     return;
   }
   SimDuration frame_time = FrameTime(frame.wire_size());
@@ -123,9 +119,9 @@ void Lan::SwitchedSend(Station* station, Frame frame) {
   // Full duplex: the only contention is the sender's own egress port.
   SimTime start = std::max(owner.now(), station->egress_free_at_);
   station->egress_free_at_ = start + frame_time + config_.interframe_gap;
-  station->wire_stats_.frames_sent++;
-  station->wire_stats_.bytes_on_wire += wire_bytes;
-  station->wire_stats_.busy_time += frame_time;
+  station->stats_.frames_sent++;
+  station->stats_.bytes_on_wire += wire_bytes;
+  station->stats_.busy_time += frame_time;
   // wire_bytes >= min_frame_bytes, so deliver_at >= now + lookahead() always
   // — the invariant the conservative synchronizer relies on.
   SimTime deliver_at = start + frame_time + config_.propagation_delay;
@@ -136,8 +132,10 @@ void Lan::SwitchedSend(Station* station, Frame frame) {
         RouteSwitched(station, id, deliver_at, shared);
       }
     }
-  } else {
+  } else if (shared->dst < stations_.size()) {
     RouteSwitched(station, shared->dst, deliver_at, shared);
+  } else {
+    CountUnreachable(station->id_, shared->dst);
   }
 }
 
@@ -178,50 +176,46 @@ void Lan::DeliverRouted(const CrossShardMsg& msg) {
 }
 
 void Lan::SwitchedDeliver(StationId dst, const Frame& frame) {
-  Station* station = stations_[dst].get();
   if (!Reachable(frame.src, dst)) {
-    station->wire_stats_.frames_dropped_partition++;
+    CountUnreachable(frame.src, dst);
     return;
   }
+  Station* station = stations_[dst].get();
   if (config_.loss_probability > 0.0 &&
       station->loss_rng_.NextBool(config_.loss_probability)) {
-    station->wire_stats_.frames_lost++;
+    station->stats_.frames_lost++;
     return;
   }
-  station->wire_stats_.frames_delivered++;
+  station->stats_.frames_delivered++;
   station->Deliver(frame);
 }
 
-const LanStats& Lan::stats() const {
-  if (!config_.switched) {
-    return stats_;
-  }
-  merged_stats_ = stats_;
+LanStats Lan::stats() const {
+  LanStats total;
   for (const auto& st : stations_) {
-    const StationWireStats& w = st->wire_stats_;
-    merged_stats_.frames_sent += w.frames_sent;
-    merged_stats_.bytes_on_wire += w.bytes_on_wire;
-    merged_stats_.busy_time += w.busy_time;
-    merged_stats_.transmit_failures += w.transmit_failures;
-    merged_stats_.frames_delivered += w.frames_delivered;
-    merged_stats_.frames_lost += w.frames_lost;
-    merged_stats_.frames_dropped_partition += w.frames_dropped_partition;
+    const LanStats& s = st->stats_;
+    total.frames_sent += s.frames_sent;
+    total.frames_delivered += s.frames_delivered;
+    total.frames_lost += s.frames_lost;
+    total.frames_dropped_partition += s.frames_dropped_partition;
+    total.collisions += s.collisions;
+    total.transmit_failures += s.transmit_failures;
+    total.bytes_on_wire += s.bytes_on_wire;
+    total.busy_time += s.busy_time;
   }
-  return merged_stats_;
+  return total;
 }
 
 void Lan::SyncMetrics() const {
-  if (!config_.switched) {
-    return;  // CSMA mode bumps counters inline
-  }
-  const LanStats& s = stats();
+  LanStats s = stats();
   Bump(metrics_.frames_sent, s.frames_sent - synced_.frames_sent);
   Bump(metrics_.frames_delivered,
        s.frames_delivered - synced_.frames_delivered);
   Bump(metrics_.frames_lost, s.frames_lost - synced_.frames_lost);
-  Bump(metrics_.bytes_on_wire, s.bytes_on_wire - synced_.bytes_on_wire);
+  Bump(metrics_.collisions, s.collisions - synced_.collisions);
   Bump(metrics_.transmit_failures,
        s.transmit_failures - synced_.transmit_failures);
+  Bump(metrics_.bytes_on_wire, s.bytes_on_wire - synced_.bytes_on_wire);
   synced_ = s;
 }
 
@@ -231,6 +225,12 @@ SimDuration Lan::FrameTime(size_t payload_bytes) const {
   double seconds =
       static_cast<double>(wire_bytes) * 8.0 / config_.bandwidth_bits_per_sec;
   return static_cast<SimDuration>(seconds * 1e9);
+}
+
+void Lan::CountUnreachable(StationId src, StationId dst) {
+  // A station that does not exist has no share to count into.
+  StationId at = dst < stations_.size() ? dst : src;
+  stations_[at]->stats_.frames_dropped_partition++;
 }
 
 bool Lan::Reachable(StationId from, StationId to) const {
@@ -249,8 +249,7 @@ void Lan::Attempt(Station* station) {
 
   if (detached_[station->id_]) {
     // A failed node's pending output evaporates.
-    stats_.transmit_failures++;
-    Bump(metrics_.transmit_failures);
+    station->stats_.transmit_failures++;
     station->queue_.pop_front();
     station->attempt_ = 0;
     if (station->queue_.empty()) {
@@ -303,8 +302,7 @@ void Lan::BeginTransmission(Station* station) {
 }
 
 void Lan::HandleCollision(Station* first, Station* second) {
-  stats_.collisions++;
-  Bump(metrics_.collisions);
+  second->stats_.collisions++;  // once, by the station that collided
   sim_.Cancel(current_->completion_event);
   current_.reset();
   // Jam signal occupies the wire for one slot.
@@ -319,8 +317,7 @@ void Lan::ScheduleRetry(Station* station, bool after_collision) {
     // Expected at saturation, and lan.transmit_failures counts it.
     EDEN_LOG(kDebug, "lan") << "station " << station->id_
                             << " dropped frame after excessive collisions";
-    stats_.transmit_failures++;
-    Bump(metrics_.transmit_failures);
+    station->stats_.transmit_failures++;
     station->queue_.pop_front();
     station->attempt_ = 0;
     if (station->queue_.empty()) {
@@ -346,11 +343,9 @@ void Lan::FinishTransmission(Station* station, Frame frame) {
   size_t wire_bytes = std::max(frame.wire_size() + config_.frame_overhead_bytes,
                                config_.min_frame_bytes);
   current_.reset();
-  stats_.frames_sent++;
-  stats_.bytes_on_wire += wire_bytes;
-  stats_.busy_time += duration;
-  Bump(metrics_.frames_sent);
-  Bump(metrics_.bytes_on_wire, wire_bytes);
+  station->stats_.frames_sent++;
+  station->stats_.bytes_on_wire += wire_bytes;
+  station->stats_.busy_time += duration;
   if (metrics_.queue_delay != nullptr) {
     // Time from Send() to the start of the successful transmission: queueing
     // behind the sender's own backlog plus deferral/backoff on a busy medium.
@@ -362,20 +357,18 @@ void Lan::FinishTransmission(Station* station, Frame frame) {
   // Deliver after the propagation delay, independently per receiver.
   auto deliver_to = [this](StationId src, StationId dst, const Frame& f) {
     if (!Reachable(src, dst)) {
-      stats_.frames_dropped_partition++;
+      CountUnreachable(src, dst);
       return;
     }
+    Station* station = stations_[dst].get();
     if (config_.loss_probability > 0.0 && rng_.NextBool(config_.loss_probability)) {
-      stats_.frames_lost++;
-      Bump(metrics_.frames_lost);
+      station->stats_.frames_lost++;
       return;
     }
     if (fault_hook_ != nullptr) {
       WireFaultHook::Decision decision =
           fault_hook_->OnDeliver(src, dst, f.wire_size());
       if (decision.drop) {
-        stats_.frames_dropped_fault++;
-        Bump(metrics_.frames_dropped_fault);
         return;
       }
       if (decision.corrupt || decision.duplicate || decision.extra_delay > 0) {
@@ -383,9 +376,8 @@ void Lan::FinishTransmission(Station* station, Frame frame) {
         return;
       }
     }
-    stats_.frames_delivered++;
-    Bump(metrics_.frames_delivered);
-    stations_[dst]->Deliver(f);
+    station->stats_.frames_delivered++;
+    station->Deliver(f);
   };
 
   // The frame rides inside the event (EventFn holds it inline).
@@ -437,23 +429,19 @@ void Lan::DeliverWithFaults(StationId dst, const Frame& frame,
       copy.body = SharedBytes();
     }
     copy.header[byte] ^= static_cast<uint8_t>(1u << (bit % 8));
-    stats_.frames_corrupted++;
-    Bump(metrics_.frames_corrupted);
   }
 
   auto deliver_copy = [this, dst](const Frame& f) {
     if (!Reachable(f.src, dst)) {
-      stats_.frames_dropped_partition++;
+      CountUnreachable(f.src, dst);
       return;
     }
-    stats_.frames_delivered++;
-    Bump(metrics_.frames_delivered);
-    stations_[dst]->Deliver(f);
+    Station* station = stations_[dst].get();
+    station->stats_.frames_delivered++;
+    station->Deliver(f);
   };
 
   if (decision.extra_delay > 0) {
-    stats_.frames_delayed++;
-    Bump(metrics_.frames_delayed);
     sim_.Schedule(decision.extra_delay,
                   [copy, deliver_copy] { deliver_copy(copy); });
   } else {
@@ -461,8 +449,6 @@ void Lan::DeliverWithFaults(StationId dst, const Frame& frame,
   }
 
   if (decision.duplicate) {
-    stats_.frames_duplicated++;
-    Bump(metrics_.frames_duplicated);
     sim_.Schedule(decision.extra_delay + config_.slot_time,
                   [copy = std::move(copy), deliver_copy] { deliver_copy(copy); });
   }

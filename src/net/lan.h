@@ -69,7 +69,7 @@ struct Frame {
   StationId src = 0;
   StationId dst = 0;  // kBroadcastStation for broadcast
   Bytes header;
-  SharedBytes body;
+  SharedBytes body = {};  // optional: empty unless the sender attaches one
   // Stamped by Station::Send; drives the lan.queue_delay histogram (time the
   // frame waited behind the sender's queue and the busy medium).
   SimTime enqueued_at = 0;
@@ -77,20 +77,19 @@ struct Frame {
   size_t wire_size() const { return header.size() + body.size(); }
 };
 
+// The LAN's record of what happened on the wire. Each station keeps its own
+// share (see Station::stats_) and Lan::stats() sums them; SyncMetrics()
+// publishes the counters to lan.*. Injected wire faults (corruption,
+// duplication, delay, fault drops) are counted by the injector as fault.*.
 struct LanStats {
   uint64_t frames_sent = 0;       // successfully placed on the wire
   uint64_t frames_delivered = 0;  // per-receiver deliveries
   uint64_t frames_lost = 0;       // dropped by loss injection
-  uint64_t frames_dropped_partition = 0;
+  uint64_t frames_dropped_partition = 0;  // unreachable receiver
   uint64_t collisions = 0;
   uint64_t transmit_failures = 0;  // gave up after max attempts
   uint64_t bytes_on_wire = 0;      // includes per-frame overhead
   SimDuration busy_time = 0;       // total time the medium carried bits
-  // Injected by a WireFaultHook (chaos harness), not the base loss model.
-  uint64_t frames_corrupted = 0;   // delivered with flipped bits
-  uint64_t frames_duplicated = 0;  // delivered twice
-  uint64_t frames_delayed = 0;     // delivered late (reordering jitter)
-  uint64_t frames_dropped_fault = 0;
 };
 
 class Lan;
@@ -105,27 +104,13 @@ class WireFaultHook {
   virtual ~WireFaultHook() = default;
 
   struct Decision {
-    bool drop = false;       // swallow the frame (counted separately from loss)
+    bool drop = false;       // swallow the frame (not counted as base loss)
     bool corrupt = false;    // flip one random bit before delivery
     bool duplicate = false;  // deliver a second copy one slot later
     SimDuration extra_delay = 0;  // defer delivery (reorders against others)
   };
   virtual Decision OnDeliver(StationId src, StationId dst,
                              size_t wire_bytes) = 0;
-};
-
-// Per-station wire counters for switched mode. Thread-safety by ownership:
-// every field is written only on the station's owner-shard thread (a
-// station's sends run there, and so do deliveries *to* it), so no locks are
-// needed; Lan::stats() / SyncMetrics() aggregate after the shards quiesce.
-struct StationWireStats {
-  uint64_t frames_sent = 0;
-  uint64_t bytes_on_wire = 0;
-  SimDuration busy_time = 0;
-  uint64_t transmit_failures = 0;  // detached sender
-  uint64_t frames_delivered = 0;
-  uint64_t frames_lost = 0;
-  uint64_t frames_dropped_partition = 0;
 };
 
 // One network interface attached to the LAN. Owned by the Lan.
@@ -137,7 +122,9 @@ class Station {
   void SetReceiveHandler(ReceiveHandler handler) { handler_ = std::move(handler); }
 
   // Queues a frame for transmission; frames from one station go out in FIFO
-  // order. The payload must be at most max_payload_bytes.
+  // order. The payload must be at most max_payload_bytes. A frame for a
+  // station that does not exist still goes out on the wire and is then
+  // dropped as unreachable (frames_dropped_partition), like a partitioned one.
   void Send(Frame frame);
 
   size_t queue_depth() const { return queue_.size(); }
@@ -165,7 +152,11 @@ class Station {
   SimTime egress_free_at_ = 0;
   std::vector<uint64_t> pair_seq_;  // per-destination frame counters
   Rng loss_rng_{1};
-  StationWireStats wire_stats_;
+  // This station's share of the LAN's counts: what it sent (and its
+  // collisions and give-ups), and what was delivered to it or dropped on the
+  // way. Thread-safety by ownership: a station's sends and the deliveries
+  // *to* it both run on its owner shard's thread, so no locks are needed.
+  LanStats stats_;
 };
 
 class Lan {
@@ -199,9 +190,9 @@ class Lan {
   void set_fault_hook(WireFaultHook* hook) { fault_hook_ = hook; }
 
   const LanConfig& config() const { return config_; }
-  // In switched mode this aggregates the per-station wire counters (call
-  // only while the shards are quiescent); otherwise it is the live totals.
-  const LanStats& stats() const;
+  // Sums the per-station counts. Under the sharded engine, call only while
+  // the shards are quiescent.
+  LanStats stats() const;
   Simulation& sim() { return sim_; }
 
   // --- Switched full-duplex mode (sharding substrate) ---
@@ -233,13 +224,14 @@ class Lan {
   // schedules the (keyed) delivery into that shard's simulation.
   void DeliverRouted(const CrossShardMsg& msg);
 
-  // Pushes switched-mode per-station counter deltas into the metrics
-  // registry (counters are not thread-safe, so switched mode defers them).
-  // Call from the rollup path, with the shards quiescent.
+  // Publishes the LanStats counters accrued since the last call to the
+  // lan.* counters (counters are not thread-safe, so stations never bump
+  // them). EdenSystem::PublishLanCounts calls it; under the sharded engine,
+  // call only while the shards are quiescent.
   void SyncMetrics() const;
 
-  // Mirrors the LanStats counters into `registry` under lan.* names and
-  // records per-frame queueing delay into lan.queue_delay. The registry must
+  // Attaches the registry SyncMetrics publishes to, and records per-frame
+  // queueing delay into lan.queue_delay as frames go out. The registry must
   // outlive this Lan; nullptr detaches.
   void set_metrics(MetricsRegistry* registry);
 
@@ -263,10 +255,6 @@ class Lan {
     Counter* transmit_failures = nullptr;
     Counter* bytes_on_wire = nullptr;
     Histogram* queue_delay = nullptr;
-    Counter* frames_corrupted = nullptr;
-    Counter* frames_duplicated = nullptr;
-    Counter* frames_delayed = nullptr;
-    Counter* frames_dropped_fault = nullptr;
   };
 
   static void Bump(Counter* counter, uint64_t n = 1) {
@@ -282,6 +270,9 @@ class Lan {
   void HandleCollision(Station* first, Station* second);
   void ScheduleRetry(Station* station, bool after_collision);
   bool Reachable(StationId from, StationId to) const;
+  // Counts a frame that !Reachable(src, dst) dropped, into the receiving
+  // station, or into the sender when `dst` names no station.
+  void CountUnreachable(StationId src, StationId dst);
   // Switched-mode path: compute the delivery time from the sender's egress
   // serialization, then route each (src, dst) copy by shard.
   void SwitchedSend(Station* station, Frame frame);
@@ -296,7 +287,6 @@ class Lan {
 
   Simulation& sim_;
   LanConfig config_;
-  LanStats stats_;
   LanMetrics metrics_;
   std::vector<std::unique_ptr<Station>> stations_;
   std::vector<int> partition_group_;   // index by StationId
@@ -307,9 +297,7 @@ class Lan {
   Rng rng_;
   uint64_t switched_seed_ = 0;  // base for per-station loss streams
   CrossShardSink cross_shard_sink_;
-  // Aggregation scratch for switched-mode stats()/SyncMetrics().
-  mutable LanStats merged_stats_;
-  mutable LanStats synced_;
+  mutable LanStats synced_;  // the totals SyncMetrics last published
 };
 
 }  // namespace eden

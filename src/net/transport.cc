@@ -94,7 +94,6 @@ uint64_t Transport::SendReliable(StationId dst, Bytes message,
         spans_->StartSpan(parent, SpanKind::kWire, station_->id(), ObjectName{},
                           "to node" + std::to_string(dst), sim_.now());
   }
-  stats_.messages_sent++;
   Bump(counters_.messages_sent);
   auto [it, inserted] = pending_.emplace(msg_id, std::move(pending));
   assert(inserted);
@@ -109,7 +108,6 @@ void Transport::SendBestEffort(StationId dst, Bytes message) {
   once.msg_id = next_msg_id_++;
   once.message = SharedBytes(std::move(message));
   once.reliable = false;
-  stats_.messages_sent++;
   Bump(counters_.messages_sent);
   TransmitFragments(once);
 }
@@ -140,7 +138,6 @@ void Transport::TransmitFragments(PendingSend& pending) {
     frame.body = pending.message.Slice(offset, len);
     frame.header = SealFrame(header, frame.body);
     station_->Send(std::move(frame));
-    stats_.fragments_sent++;
     Bump(counters_.fragments_sent);
   }
 }
@@ -199,7 +196,6 @@ void Transport::OnRetryTimer() {
     if (pending.retransmits >= config_.max_retransmits) {
       EDEN_LOG(kDebug, "transport")
           << "station " << station_->id() << " gave up on message " << msg_id;
-      stats_.send_failures++;
       Bump(counters_.send_failures);
       StationId dst = pending.dst;
       if (spans_ != nullptr && pending.span.valid()) {
@@ -212,7 +208,6 @@ void Transport::OnRetryTimer() {
       continue;
     }
     pending.retransmits++;
-    stats_.retransmits++;
     Bump(counters_.retransmits);
     if (spans_ != nullptr && pending.span.valid()) {
       spans_->Annotate(pending.span, now,
@@ -251,7 +246,6 @@ void Transport::AppendPiggybackAcks(BufferWriter& header,
   }
   ids->erase(ids->begin(), ids->begin() + static_cast<ptrdiff_t>(n));
   pending_ack_total_ -= n;
-  stats_.acks_piggybacked += n;
   Bump(counters_.acks_piggybacked, n);
   MaybeCancelAckTimer();
 }
@@ -288,8 +282,6 @@ void Transport::FlushPeerAcks(StationId peer, std::vector<uint64_t>& ids) {
     ack.dst = peer;
     ack.header = SealFrame(header, ack.body);
     station_->Send(std::move(ack));
-    stats_.acks_sent++;
-    stats_.ack_ids_sent += n;
     Bump(counters_.acks_sent);
   }
   pending_ack_total_ -= ids.size();
@@ -318,7 +310,6 @@ void Transport::OnFrame(const Frame& frame) {
   auto kind = reader.ReadU8();
   auto crc = kind.ok() ? reader.ReadU32() : StatusOr<uint32_t>(kind.status());
   if (!crc.ok()) {
-    stats_.frames_corrupt_dropped++;
     Bump(counters_.frames_corrupt_dropped);
     return;
   }
@@ -332,7 +323,6 @@ void Transport::OnFrame(const Frame& frame) {
                        frame.header.size() - checked);
   actual = Crc32Update(actual, frame.body.data(), frame.body.size());
   if (Crc32End(actual) != *crc) {
-    stats_.frames_corrupt_dropped++;
     Bump(counters_.frames_corrupt_dropped);
     EDEN_LOG(kDebug, "transport")
         << "station " << station_->id() << " dropped corrupt frame from "
@@ -389,7 +379,6 @@ void Transport::DeliverFastPath(const Frame& frame, uint64_t msg_id,
   if (reliable) {
     QueueAck(frame.src, msg_id);
   }
-  stats_.messages_delivered++;
   Bump(counters_.messages_delivered);
   if (handler_) {
     handler_(frame.src, frame.body.view());
@@ -409,7 +398,6 @@ void Transport::HandleData(const Frame& frame, BufferReader& reader) {
   HandleAck(reader);
 
   if (AlreadyDelivered(frame.src, *msg_id)) {
-    stats_.duplicates_suppressed++;
     Bump(counters_.duplicates_suppressed);
     if (*reliable) {
       // The sender missed our ack; repeat it.
@@ -475,7 +463,6 @@ void Transport::HandleData(const Frame& frame, BufferReader& reader) {
   if (*reliable) {
     QueueAck(frame.src, *msg_id);
   }
-  stats_.messages_delivered++;
   Bump(counters_.messages_delivered);
   if (handler_) {
     handler_(frame.src, message.view());

@@ -68,21 +68,6 @@ struct TransportConfig {
   size_t max_acks_per_frame = 32;
 };
 
-struct TransportStats {
-  uint64_t messages_sent = 0;
-  uint64_t messages_delivered = 0;
-  uint64_t duplicates_suppressed = 0;
-  uint64_t retransmits = 0;
-  uint64_t send_failures = 0;  // gave up after max_retransmits
-  uint64_t acks_sent = 0;      // standalone ACK frames
-  uint64_t ack_ids_sent = 0;   // message ids carried in standalone ACK frames
-  uint64_t acks_piggybacked = 0;  // message ids carried on data frames
-  uint64_t fragments_sent = 0;
-  // Frames whose CRC32 failed verification: treated exactly like lost frames
-  // (the sender's retransmission recovers the message).
-  uint64_t frames_corrupt_dropped = 0;
-};
-
 class Transport {
  public:
   // The payload view is only valid for the duration of the call; handlers
@@ -141,10 +126,10 @@ class Transport {
   // waits for it to reach zero before departing a node.
   size_t pending_reliable_sends() const { return pending_.size(); }
 
-  const TransportStats& stats() const { return stats_; }
-
-  // Mirrors the TransportStats counters into `registry` under transport.*
-  // names. The registry must outlive this transport; nullptr detaches.
+  // Counts messages, fragments, ACKs, retransmits, give-ups, suppressed
+  // duplicates and frames dropped for a bad CRC into `registry` under
+  // transport.* names; with no registry the transport counts nothing. The
+  // registry must outlive this transport; nullptr detaches.
   void set_metrics(MetricsRegistry* registry);
 
   // Attaches the shared span collector for kWire spans (DESIGN.md §12). The
@@ -205,10 +190,12 @@ class Transport {
     Counter* messages_delivered = nullptr;
     Counter* duplicates_suppressed = nullptr;
     Counter* retransmits = nullptr;
-    Counter* send_failures = nullptr;
-    Counter* acks_sent = nullptr;
-    Counter* acks_piggybacked = nullptr;
+    Counter* send_failures = nullptr;  // gave up after max_retransmits
+    Counter* acks_sent = nullptr;      // standalone ACK frames
+    Counter* acks_piggybacked = nullptr;  // message ids carried on data frames
     Counter* fragments_sent = nullptr;
+    // Frames whose CRC32 failed verification: treated exactly like lost
+    // frames (the sender's retransmission recovers the message).
     Counter* frames_corrupt_dropped = nullptr;
   };
 
@@ -244,7 +231,6 @@ class Transport {
   Lan& lan_;
   Station* station_;
   TransportConfig config_;
-  TransportStats stats_;
   TransportCounters counters_;
   SpanCollector* spans_ = nullptr;
   Handler handler_;

@@ -36,7 +36,6 @@ void StableStore::set_metrics(MetricsRegistry* registry) {
   metrics_.write_latency = &registry->histogram("store.write.latency");
   metrics_.arm_travel = &registry->histogram("store.arm_travel_tracks");
   metrics_.checksum_failures = &registry->counter("store.checksum_failures");
-  metrics_.write_faults = &registry->counter("store.write_faults");
   UpdateBytesUsedGauge();
 }
 
@@ -76,8 +75,6 @@ Future<Status> StableStore::Put(const std::string& key, SharedBytes value,
   record.crc = Crc32(value.view());
   record.value = std::move(value);
   record.version = next_version_++;
-  stats_.writes++;
-  stats_.written_bytes += new_bytes;
   if (metrics_.writes != nullptr) {
     metrics_.writes->Increment();
     metrics_.written_bytes->Increment(new_bytes);
@@ -107,8 +104,6 @@ Future<StatusOr<SharedBytes>> StableStore::Get(const std::string& key,
     promise.Set(NotFoundError("no such record: " + key));
     return promise.GetFuture();
   }
-  stats_.reads++;
-  stats_.read_bytes += it->second.value.size();
   if (metrics_.reads != nullptr) {
     metrics_.reads->Increment();
     metrics_.read_bytes->Increment(it->second.value.size());
@@ -136,7 +131,6 @@ Future<Status> StableStore::Delete(const std::string& key,
   if (it != records_.end()) {
     bytes_used_ -= it->second.value.size();
     records_.erase(it);
-    stats_.deletes++;
     if (metrics_.deletes != nullptr) {
       metrics_.deletes->Increment();
       UpdateBytesUsedGauge();
@@ -329,7 +323,6 @@ void StableStore::StartService() {
     if (pending_[lead].kind == PendingOp::kRead) {
       int retries = fault_hook_->ReadRetries(pending_[lead].key);
       if (retries > 0) {
-        stats_.read_soft_retries += static_cast<uint64_t>(retries);
         service += static_cast<SimDuration>(retries) *
                    config_.rotational_latency;
         if (spans_ != nullptr && pending_[lead].span.valid()) {
@@ -342,7 +335,6 @@ void StableStore::StartService() {
     // slows by the hook's factor.
     double factor = fault_hook_->ServiceFactor();
     if (factor > 1.0) {
-      stats_.degraded_services++;
       service = static_cast<SimDuration>(static_cast<double>(service) * factor);
     }
   }
@@ -361,12 +353,10 @@ void StableStore::StartService() {
     writes_since_read_ = 0;
   } else {
     writes_since_read_ += members.size();
-    stats_.batch_flushes++;
     if (metrics_.batch_flushes != nullptr) {
       metrics_.batch_flushes->Increment();
     }
     if (members.size() > 1) {
-      stats_.batched_writes += members.size();
       if (metrics_.batched_writes != nullptr) {
         metrics_.batched_writes->Increment(
             static_cast<uint64_t>(members.size()));
@@ -409,7 +399,6 @@ void StableStore::CompleteOps(std::vector<PendingOp> ops) {
     bool span_live = spans_ != nullptr && op.span.valid();
     if (op.kind == PendingOp::kRead) {
       if (config_.verify_checksums && Crc32(op.value.view()) != op.crc) {
-        stats_.checksum_failures++;
         if (metrics_.checksum_failures != nullptr) {
           metrics_.checksum_failures->Increment();
         }
@@ -434,20 +423,11 @@ void StableStore::CompleteOps(std::vector<PendingOp> ops) {
         // the caller. A torn-but-acked write is the nastier fault — the CRC
         // catches it at the next read.
         TearRecordVersion(op.key, op.version);
-        if (fault.error) {
-          stats_.write_faults++;
-          if (metrics_.write_faults != nullptr) {
-            metrics_.write_faults->Increment();
-          }
-        } else {
-          stats_.torn_writes++;
-          if (span_live) {
-            spans_->Annotate(op.span, sim_.now(), "fault:torn_write");
-          }
+        if (!fault.error && span_live) {
+          spans_->Annotate(op.span, sim_.now(), "fault:torn_write");
         }
       } else if (fault_hook_->CorruptAtRest(op.key)) {
         CorruptRecord(op.key, /*bit=*/op.version % 64);
-        stats_.latent_corruptions++;
         if (span_live) {
           spans_->Annotate(op.span, sim_.now(), "fault:latent_corruption");
         }

@@ -77,25 +77,10 @@ struct DiskConfig {
   bool verify_checksums = true;
 };
 
+// The store's one figure with no counter twin: how long the arm was busy.
+// Everything the store counts lives in its registry (see set_metrics).
 struct StoreStats {
-  uint64_t reads = 0;
-  uint64_t writes = 0;
-  uint64_t deletes = 0;
-  uint64_t read_bytes = 0;
-  uint64_t written_bytes = 0;
-  // Write/delete ops that shared a durable flush with at least one other.
-  uint64_t batched_writes = 0;
-  // Durable write flushes (each one seek + one rotational + summed transfer).
-  uint64_t batch_flushes = 0;
   SimDuration busy_time = 0;
-  // Fault-path observability (populated by the chaos harness's hook and the
-  // checksum verifier).
-  uint64_t write_faults = 0;        // flushes failed by injection
-  uint64_t torn_writes = 0;         // durable copies silently truncated
-  uint64_t latent_corruptions = 0;  // durable copies bit-rotted at rest
-  uint64_t read_soft_retries = 0;   // transparent read retries (extra spins)
-  uint64_t degraded_services = 0;   // services slowed by a degraded arm
-  uint64_t checksum_failures = 0;   // reads that failed CRC verification
 };
 
 // Consulted by the store at its fault-injection points. Implemented by the
@@ -183,11 +168,13 @@ class StableStore {
   const StoreStats& stats() const { return stats_; }
   const DiskConfig& config() const { return config_; }
 
-  // Mirrors the StoreStats counters into `registry` under store.* names,
-  // records per-operation latency (queueing + seek + transfer) into
-  // store.read.latency / store.write.latency, and arm travel (in tracks,
-  // not nanoseconds) into store.arm_travel_tracks. The registry must
-  // outlive this store; nullptr detaches.
+  // Counts reads, writes, deletes, their bytes, batched flushes and checksum
+  // failures into `registry` under store.* names, records per-operation
+  // latency (queueing + seek + transfer) into store.read.latency /
+  // store.write.latency, and arm travel (in tracks, not nanoseconds) into
+  // store.arm_travel_tracks; with no registry the store counts nothing.
+  // Injected disk faults are counted by the injector, as fault.disk.*. The
+  // registry must outlive this store; nullptr detaches.
   void set_metrics(MetricsRegistry* registry);
 
   // Attaches the shared span collector for store-request spans (DESIGN.md
@@ -205,14 +192,15 @@ class StableStore {
     Counter* deletes = nullptr;
     Counter* read_bytes = nullptr;
     Counter* written_bytes = nullptr;
+    // Write/delete ops that shared a durable flush with at least one other.
     Counter* batched_writes = nullptr;
+    // Durable write flushes (each one seek + one rotational + summed transfer).
     Counter* batch_flushes = nullptr;
     Gauge* bytes_used = nullptr;
     Histogram* read_latency = nullptr;
     Histogram* write_latency = nullptr;
     Histogram* arm_travel = nullptr;
     Counter* checksum_failures = nullptr;
-    Counter* write_faults = nullptr;
   };
 
   // A durable record: the bytes plus the CRC computed when they were Put.

@@ -120,10 +120,10 @@ void Telemetry::Tick(size_t shard, uint64_t k) {
   if (shard == 0) {
     ticks_ = k + 1;
     if (!system_->sharded()) {
-      // The system registry (lan.*, fault.*) is only live-written in the
-      // single-threaded world; under the sharded engine its per-station
-      // counters are deferred until Rollup, so sampling it mid-run would be
-      // layout-dependent noise.
+      // The system registry (lan.*, fault.*) is only sampled in the
+      // single-threaded world: under the sharded engine the LAN's counts can
+      // be published only at Rollup, with the shards quiescent.
+      system_->PublishLanCounts();
       system_sampler_->Sample();
       EvaluateSlos(system_->sim().now());
     }

@@ -112,14 +112,15 @@ TEST_F(CheckpointDeltaFixture, DeltaCheckpointsWriteFarFewerBytes) {
   ASSERT_TRUE(cap.ok());
 
   Call(system_.node(0), *cap, "increment");
-  uint64_t before = system_.node(0).store().stats().written_bytes;
+  const MetricsRegistry& metrics = system_.node(0).metrics();
+  uint64_t before = metrics.CounterValue("store.written_bytes");
   ASSERT_TRUE(Call(system_.node(0), *cap, "checkpoint").ok());
-  uint64_t base_bytes = system_.node(0).store().stats().written_bytes - before;
+  uint64_t base_bytes = metrics.CounterValue("store.written_bytes") - before;
 
   Call(system_.node(0), *cap, "increment");
-  before = system_.node(0).store().stats().written_bytes;
+  before = metrics.CounterValue("store.written_bytes");
   ASSERT_TRUE(Call(system_.node(0), *cap, "checkpoint").ok());
-  uint64_t delta_bytes = system_.node(0).store().stats().written_bytes - before;
+  uint64_t delta_bytes = metrics.CounterValue("store.written_bytes") - before;
 
   EXPECT_GT(base_bytes, 64u * 1024u);
   EXPECT_LT(delta_bytes * 8, base_bytes)

@@ -190,14 +190,15 @@ uint64_t RunChaosWorkload(uint64_t seed, bool traced = false) {
   }
   Digest digest;
   digest.Mix(Fingerprint(system));
-  const FaultStats& faults = system.faults()->stats();
-  digest.Mix(faults.wire_corrupted);
-  digest.Mix(faults.wire_duplicated);
-  digest.Mix(faults.wire_delayed);
-  digest.Mix(faults.disk_write_errors);
-  digest.Mix(faults.disk_torn_writes);
-  digest.Mix(faults.disk_latent_corruptions);
-  digest.Mix(faults.node_failures + faults.node_restarts);
+  const MetricsRegistry& faults = system.metrics();
+  digest.Mix(faults.CounterValue("fault.wire.corrupt"));
+  digest.Mix(faults.CounterValue("fault.wire.duplicate"));
+  digest.Mix(faults.CounterValue("fault.wire.delay"));
+  digest.Mix(faults.CounterValue("fault.disk.write_error"));
+  digest.Mix(faults.CounterValue("fault.disk.torn_write"));
+  digest.Mix(faults.CounterValue("fault.disk.latent_corruption"));
+  digest.Mix(faults.CounterValue("fault.node.fail") +
+             faults.CounterValue("fault.node.restart"));
   return digest.value();
 }
 

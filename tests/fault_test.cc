@@ -152,12 +152,15 @@ TEST_P(FaultMatrix, StandardStormLosesNoAckedStateAndFullyRecovers) {
   }
 
   // The storm actually happened.
-  const FaultStats& stats = system.faults()->stats();
-  EXPECT_GT(stats.wire_corrupted + stats.wire_duplicated + stats.wire_delayed,
+  const MetricsRegistry& faults = system.metrics();
+  EXPECT_GT(faults.CounterValue("fault.wire.corrupt") +
+                faults.CounterValue("fault.wire.duplicate") +
+                faults.CounterValue("fault.wire.delay"),
             0u);
-  EXPECT_GT(stats.node_failures, 0u);
-  EXPECT_EQ(stats.node_failures, stats.node_restarts);
-  EXPECT_EQ(stats.partition_epochs, 2u);  // split + heal
+  EXPECT_GT(faults.CounterValue("fault.node.fail"), 0u);
+  EXPECT_EQ(faults.CounterValue("fault.node.fail"),
+            faults.CounterValue("fault.node.restart"));
+  EXPECT_EQ(faults.CounterValue("fault.partition.epoch"), 2u);  // split + heal
 }
 
 INSTANTIATE_TEST_SUITE_P(Storms, FaultMatrix,
@@ -189,11 +192,14 @@ TEST(FaultDeterminism, SameSeedSameStormSameOutcome) {
       }
       system.RunFor(Milliseconds(100));
     }
-    FaultStats stats = system.faults()->stats();
-    return std::tuple(last, system.sim().now(), stats.wire_corrupted,
-                      stats.wire_duplicated, stats.wire_delayed,
-                      stats.disk_write_errors, stats.disk_torn_writes,
-                      stats.node_failures);
+    const MetricsRegistry& faults = system.metrics();
+    return std::tuple(last, system.sim().now(),
+                      faults.CounterValue("fault.wire.corrupt"),
+                      faults.CounterValue("fault.wire.duplicate"),
+                      faults.CounterValue("fault.wire.delay"),
+                      faults.CounterValue("fault.disk.write_error"),
+                      faults.CounterValue("fault.disk.torn_write"),
+                      faults.CounterValue("fault.node.fail"));
   };
   EXPECT_EQ(run(7), run(7));
   EXPECT_NE(run(7), run(8));  // and the seed genuinely matters

@@ -200,6 +200,32 @@ TEST_F(KernelEdgeFixture, CreateOptionsBindTheInitialChecksite) {
   EXPECT_TRUE(system_.node(3).IsActive(cap->name()));
 }
 
+TEST(KernelEdge, CheckpointToANonexistentChecksiteFails) {
+  // The checksite names no station. Its checkpoint frames go out and are
+  // dropped as unreachable, in either medium, and the checkpoint fails.
+  for (size_t shards : {0u, 2u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    SystemConfig config;
+    config.shards = shards;
+    EdenSystem system(config);
+    RegisterStandardTypes(system);
+    system.AddNodes(4);
+    CreateOptions options;
+    options.policy = CheckpointPolicy{
+        static_cast<StationId>(system.node_count() + 3),
+        ReliabilityLevel::kLocal, 0};
+    auto cap =
+        system.node(0).CreateObject("std.counter", Representation{}, options);
+    ASSERT_TRUE(cap.ok());
+    InvokeResult result =
+        system.Await(system.node(0).Invoke(*cap, "checkpoint"));
+    EXPECT_EQ(result.status.code(), StatusCode::kUnavailable) << result.status;
+    LanStats lan = system.lan().stats();
+    EXPECT_GT(lan.frames_dropped_partition, 0u);
+    EXPECT_EQ(lan.frames_delivered, 0u);
+  }
+}
+
 TEST_F(KernelEdgeFixture, StatsAccountForTheBasicFlows) {
   auto cap = system_.node(0).CreateObject("std.counter", Representation{});
   Call(0, *cap, "increment");                       // local

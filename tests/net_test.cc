@@ -1,9 +1,11 @@
 // Unit tests for the simulated Ethernet and the reliable transport.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <string>
 #include <vector>
 
+#include "src/metrics/metrics.h"
 #include "src/net/lan.h"
 #include "src/net/transport.h"
 #include "src/sim/simulation.h"
@@ -23,7 +25,7 @@ TEST(LanTest, UnicastFrameIsDeliveredWithWireDelay) {
     EXPECT_EQ(frame.src, a->id());
     EXPECT_EQ(ToString(frame.header), "ping");
   });
-  a->Send(Frame{0, b->id(), ToBytes("ping")});
+  a->Send(Frame{.dst = b->id(), .header = ToBytes("ping")});
   sim.Run();
   EXPECT_TRUE(delivered);
   // 64-byte minimum frame at 10 Mb/s = 51.2 us + 5 us propagation.
@@ -43,7 +45,7 @@ TEST(LanTest, BroadcastReachesEveryoneButSender) {
     s->SetReceiveHandler([&received](const Frame&) { received++; });
   }
   sender->SetReceiveHandler([&received](const Frame&) { received += 100; });
-  sender->Send(Frame{0, kBroadcastStation, ToBytes("hello all")});
+  sender->Send(Frame{.dst = kBroadcastStation, .header = ToBytes("hello all")});
   sim.Run();
   EXPECT_EQ(received, 4);
 }
@@ -57,7 +59,7 @@ TEST(LanTest, FramesFromOneStationStayOrdered) {
   b->SetReceiveHandler(
       [&](const Frame& frame) { seen.push_back(ToString(frame.header)); });
   for (int i = 0; i < 10; i++) {
-    a->Send(Frame{0, b->id(), ToBytes("m" + std::to_string(i))});
+    a->Send(Frame{.dst = b->id(), .header = ToBytes("m" + std::to_string(i))});
   }
   sim.Run();
   ASSERT_EQ(seen.size(), 10u);
@@ -79,7 +81,7 @@ TEST(LanTest, ContendingStationsAllEventuallyTransmit) {
   }
   // Everyone transmits "simultaneously": collisions + backoff must resolve.
   for (Station* s : stations) {
-    s->Send(Frame{0, sink->id(), Bytes(512)});
+    s->Send(Frame{.dst = sink->id(), .header = Bytes(512)});
   }
   sim.Run();
   EXPECT_EQ(received, kStations);
@@ -95,7 +97,7 @@ TEST(LanTest, LossInjectionDropsFrames) {
   Station* b = lan.AttachStation();
   bool delivered = false;
   b->SetReceiveHandler([&](const Frame&) { delivered = true; });
-  a->Send(Frame{0, b->id(), ToBytes("doomed")});
+  a->Send(Frame{.dst = b->id(), .header = ToBytes("doomed")});
   sim.Run();
   EXPECT_FALSE(delivered);
   EXPECT_EQ(lan.stats().frames_lost, 1u);
@@ -112,13 +114,13 @@ TEST(LanTest, PartitionBlocksCrossGroupTraffic) {
   c->SetReceiveHandler([&](const Frame&) { c_got++; });
 
   lan.SetPartitionGroup(c->id(), 1);
-  a->Send(Frame{0, kBroadcastStation, ToBytes("hi")});
+  a->Send(Frame{.dst = kBroadcastStation, .header = ToBytes("hi")});
   sim.Run();
   EXPECT_EQ(b_got, 1);
   EXPECT_EQ(c_got, 0);
 
   lan.ClearPartitions();
-  a->Send(Frame{0, c->id(), ToBytes("hi again")});
+  a->Send(Frame{.dst = c->id(), .header = ToBytes("hi again")});
   sim.Run();
   EXPECT_EQ(c_got, 1);
 }
@@ -131,11 +133,11 @@ TEST(LanTest, DetachedStationIsUnreachable) {
   int received = 0;
   b->SetReceiveHandler([&](const Frame&) { received++; });
   lan.DetachStation(b->id());
-  a->Send(Frame{0, b->id(), ToBytes("void")});
+  a->Send(Frame{.dst = b->id(), .header = ToBytes("void")});
   sim.Run();
   EXPECT_EQ(received, 0);
   lan.ReattachStation(b->id());
-  a->Send(Frame{0, b->id(), ToBytes("back")});
+  a->Send(Frame{.dst = b->id(), .header = ToBytes("back")});
   sim.Run();
   EXPECT_EQ(received, 1);
 }
@@ -154,12 +156,22 @@ class TransportFixture : public ::testing::Test {
  protected:
   TransportFixture() : lan_(sim_) {}
 
+  // Gives `transport` a registry of its own, as NodeKernel gives each node
+  // one: a transport counts only into its transport.* counters.
+  const MetricsRegistry& MetricsFor(Transport& transport) {
+    MetricsRegistry& registry = registries_.emplace_back();
+    transport.set_metrics(&registry);
+    return registry;
+  }
+
   Simulation sim_;
   Lan lan_;
+  std::deque<MetricsRegistry> registries_;
 };
 
 TEST_F(TransportFixture, SmallMessageRoundTrip) {
   Transport a(sim_, lan_), b(sim_, lan_);
+  const MetricsRegistry& b_metrics = MetricsFor(b);
   std::string received;
   b.SetHandler([&](StationId src, BytesView message) {
     EXPECT_EQ(src, a.station_id());
@@ -168,11 +180,12 @@ TEST_F(TransportFixture, SmallMessageRoundTrip) {
   a.SendReliable(b.station_id(), ToBytes("kernel message"));
   sim_.Run();
   EXPECT_EQ(received, "kernel message");
-  EXPECT_EQ(b.stats().messages_delivered, 1u);
+  EXPECT_EQ(b_metrics.CounterValue("transport.messages_delivered"), 1u);
 }
 
 TEST_F(TransportFixture, LargeMessageIsFragmentedAndReassembled) {
   Transport a(sim_, lan_), b(sim_, lan_);
+  const MetricsRegistry& a_metrics = MetricsFor(a);
   Bytes big(100 * 1024);
   for (size_t i = 0; i < big.size(); i++) {
     big[i] = static_cast<uint8_t>(i * 31);
@@ -182,12 +195,14 @@ TEST_F(TransportFixture, LargeMessageIsFragmentedAndReassembled) {
   a.SendReliable(b.station_id(), big);
   sim_.Run();
   EXPECT_EQ(received, big);
-  EXPECT_GT(a.stats().fragments_sent, 60u);  // ~1.5 KB MTU
+  // ~1.5 KB MTU.
+  EXPECT_GT(a_metrics.CounterValue("transport.fragments_sent"), 60u);
 }
 
 TEST_F(TransportFixture, LossyWireIsSurvivedByRetransmission) {
   lan_.set_loss_probability(0.2);
   Transport a(sim_, lan_), b(sim_, lan_);
+  const MetricsRegistry& a_metrics = MetricsFor(a);
   int delivered = 0;
   b.SetHandler([&](StationId, BytesView) { delivered++; });
   for (int i = 0; i < 20; i++) {
@@ -195,7 +210,7 @@ TEST_F(TransportFixture, LossyWireIsSurvivedByRetransmission) {
   }
   sim_.Run();
   EXPECT_EQ(delivered, 20);
-  EXPECT_GT(a.stats().retransmits, 0u);
+  EXPECT_GT(a_metrics.CounterValue("transport.retransmits"), 0u);
 }
 
 TEST_F(TransportFixture, DuplicatesAreSuppressedExactlyOnceDelivery) {
@@ -213,23 +228,27 @@ TEST_F(TransportFixture, DuplicatesAreSuppressedExactlyOnceDelivery) {
 
 TEST_F(TransportFixture, BestEffortBroadcastReachesAll) {
   Transport a(sim_, lan_), b(sim_, lan_), c(sim_, lan_);
+  const MetricsRegistry& a_metrics = MetricsFor(a);
+  const MetricsRegistry& b_metrics = MetricsFor(b);
   int received = 0;
   b.SetHandler([&](StationId, BytesView) { received++; });
   c.SetHandler([&](StationId, BytesView) { received++; });
   a.SendBestEffort(kBroadcastStation, ToBytes("who has object 42?"));
   sim_.Run();
   EXPECT_EQ(received, 2);
-  EXPECT_EQ(a.stats().acks_sent, 0u);
-  EXPECT_EQ(b.stats().acks_sent, 0u);
+  EXPECT_EQ(a_metrics.CounterValue("transport.acks_sent"), 0u);
+  EXPECT_EQ(b_metrics.CounterValue("transport.acks_sent"), 0u);
 }
 
 TEST_F(TransportFixture, GivesUpAfterMaxRetransmits) {
   Transport a(sim_, lan_), b(sim_, lan_);
+  const MetricsRegistry& a_metrics = MetricsFor(a);
+  const MetricsRegistry& b_metrics = MetricsFor(b);
   lan_.DetachStation(b.station_id());
   a.SendReliable(b.station_id(), ToBytes("into the void"));
   sim_.Run();
-  EXPECT_EQ(a.stats().send_failures, 1u);
-  EXPECT_EQ(b.stats().messages_delivered, 0u);
+  EXPECT_EQ(a_metrics.CounterValue("transport.send_failures"), 1u);
+  EXPECT_EQ(b_metrics.CounterValue("transport.messages_delivered"), 0u);
 }
 
 // --- ACK coalescing ----------------------------------------------------------
@@ -241,6 +260,8 @@ TEST_F(TransportFixture, PiggybackedAckSuppressesStandaloneAckAndRetransmit) {
   TransportConfig config;
   config.ack_delay = Milliseconds(50);
   Transport a(sim_, lan_, config), b(sim_, lan_, config);
+  const MetricsRegistry& a_metrics = MetricsFor(a);
+  const MetricsRegistry& b_metrics = MetricsFor(b);
   std::string reply;
   b.SetHandler([&](StationId src, BytesView) {
     b.SendReliable(src, ToBytes("reply"));
@@ -250,21 +271,24 @@ TEST_F(TransportFixture, PiggybackedAckSuppressesStandaloneAckAndRetransmit) {
   sim_.RunFor(Milliseconds(10));  // before a's 20 ms retransmit deadline
 
   EXPECT_EQ(reply, "reply");
-  EXPECT_EQ(b.stats().acks_piggybacked, 1u);  // rode b's reply frame
-  EXPECT_EQ(b.stats().acks_sent, 0u);         // no standalone ACK frame
-  EXPECT_EQ(a.stats().retransmits, 0u);
+  // The ACK rode b's reply frame; no standalone ACK frame went out.
+  EXPECT_EQ(b_metrics.CounterValue("transport.acks_piggybacked"), 1u);
+  EXPECT_EQ(b_metrics.CounterValue("transport.acks_sent"), 0u);
+  EXPECT_EQ(a_metrics.CounterValue("transport.retransmits"), 0u);
 
   // a has no reverse traffic for b's reply: its ACK goes standalone, delayed
   // (past b's retransmit timeout here, so b may retransmit — harmless).
   sim_.Run();
-  EXPECT_GE(a.stats().acks_sent, 1u);
-  EXPECT_EQ(b.stats().send_failures, 0u);
+  EXPECT_GE(a_metrics.CounterValue("transport.acks_sent"), 1u);
+  EXPECT_EQ(b_metrics.CounterValue("transport.send_failures"), 0u);
 }
 
 TEST_F(TransportFixture, DelayedAcksBatchIntoOneFrame) {
   TransportConfig config;
   config.ack_delay = Milliseconds(5);
   Transport a(sim_, lan_, config), b(sim_, lan_, config);
+  const MetricsRegistry& a_metrics = MetricsFor(a);
+  const MetricsRegistry& b_metrics = MetricsFor(b);
   int delivered = 0;
   b.SetHandler([&](StationId, BytesView) { delivered++; });
   for (int i = 0; i < 10; i++) {
@@ -272,24 +296,24 @@ TEST_F(TransportFixture, DelayedAcksBatchIntoOneFrame) {
   }
   sim_.Run();
   EXPECT_EQ(delivered, 10);
-  // All ten land well inside one ack_delay window: one ACK frame, ten ids.
-  EXPECT_EQ(b.stats().acks_sent, 1u);
-  EXPECT_EQ(b.stats().ack_ids_sent, 10u);
-  EXPECT_EQ(a.stats().retransmits, 0u);
+  // All ten land well inside one ack_delay window: one ACK frame, and with
+  // no retransmit and no reverse data to ride, it carried all ten ids.
+  EXPECT_EQ(b_metrics.CounterValue("transport.acks_sent"), 1u);
+  EXPECT_EQ(a_metrics.CounterValue("transport.retransmits"), 0u);
 }
 
 TEST_F(TransportFixture, DelayedAckFiresOnTimer) {
   TransportConfig config;
   config.ack_delay = Milliseconds(2);
   Transport a(sim_, lan_, config), b(sim_, lan_, config);
+  const MetricsRegistry& b_metrics = MetricsFor(b);
   b.SetHandler([](StationId, BytesView) {});
   a.SendReliable(b.station_id(), ToBytes("ping"));
   sim_.RunFor(Milliseconds(1));  // delivered (~60 us), ACK still waiting
-  EXPECT_EQ(b.stats().messages_delivered, 1u);
-  EXPECT_EQ(b.stats().acks_sent, 0u);
+  EXPECT_EQ(b_metrics.CounterValue("transport.messages_delivered"), 1u);
+  EXPECT_EQ(b_metrics.CounterValue("transport.acks_sent"), 0u);
   sim_.RunFor(Milliseconds(3));  // past delivery + ack_delay
-  EXPECT_EQ(b.stats().acks_sent, 1u);
-  EXPECT_EQ(b.stats().ack_ids_sent, 1u);
+  EXPECT_EQ(b_metrics.CounterValue("transport.acks_sent"), 1u);
 }
 
 TEST_F(TransportFixture, DedupWindowStillHonoredWithBatchedAcks) {
@@ -299,25 +323,29 @@ TEST_F(TransportFixture, DedupWindowStillHonoredWithBatchedAcks) {
   config.ack_delay = Milliseconds(50);
   config.retransmit_timeout = Milliseconds(10);
   Transport a(sim_, lan_, config), b(sim_, lan_, config);
+  const MetricsRegistry& a_metrics = MetricsFor(a);
+  const MetricsRegistry& b_metrics = MetricsFor(b);
   int delivered = 0;
   b.SetHandler([&](StationId, BytesView) { delivered++; });
   a.SendReliable(b.station_id(), ToBytes("exactly once"));
   sim_.Run();
   EXPECT_EQ(delivered, 1);
-  EXPECT_GE(a.stats().retransmits, 1u);
-  EXPECT_GE(b.stats().duplicates_suppressed, 1u);
-  EXPECT_EQ(a.stats().send_failures, 0u);
+  EXPECT_GE(a_metrics.CounterValue("transport.retransmits"), 1u);
+  EXPECT_GE(b_metrics.CounterValue("transport.duplicates_suppressed"), 1u);
+  EXPECT_EQ(a_metrics.CounterValue("transport.send_failures"), 0u);
 }
 
 TEST_F(TransportFixture, ZeroAckDelayAcksImmediately) {
   TransportConfig config;
   config.ack_delay = 0;
   Transport a(sim_, lan_, config), b(sim_, lan_, config);
+  const MetricsRegistry& a_metrics = MetricsFor(a);
+  const MetricsRegistry& b_metrics = MetricsFor(b);
   b.SetHandler([](StationId, BytesView) {});
   a.SendReliable(b.station_id(), ToBytes("now"));
   sim_.RunFor(Milliseconds(1));
-  EXPECT_EQ(b.stats().acks_sent, 1u);
-  EXPECT_EQ(a.stats().retransmits, 0u);
+  EXPECT_EQ(b_metrics.CounterValue("transport.acks_sent"), 1u);
+  EXPECT_EQ(a_metrics.CounterValue("transport.retransmits"), 0u);
 }
 
 // Builds a frame in the transport's wire format: the kind byte, a CRC-32
@@ -373,6 +401,7 @@ Frame AckFrame(StationId dst, const std::vector<uint64_t>& acks) {
 // byte the frames the helpers above build by hand.
 TEST_F(TransportFixture, SealedFramesMatchTheWireFormat) {
   Transport a(sim_, lan_);
+  const MetricsRegistry& a_metrics = MetricsFor(a);
   Station* peer = lan_.AttachStation();
   std::vector<Frame> heard;
   peer->SetReceiveHandler([&](const Frame& frame) { heard.push_back(frame); });
@@ -396,7 +425,7 @@ TEST_F(TransportFixture, SealedFramesMatchTheWireFormat) {
   ASSERT_EQ(heard.size(), 2u);
   EXPECT_EQ(heard[1].header,
             DataFrame(peer->id(), id, {101, 102}).header);
-  EXPECT_EQ(a.stats().acks_piggybacked, 2u);
+  EXPECT_EQ(a_metrics.CounterValue("transport.acks_piggybacked"), 2u);
 
   // A delivery with no data frame to ride goes out alone after ack_delay.
   peer->Send(AckFrame(a.station_id(), {id}));
@@ -405,14 +434,15 @@ TEST_F(TransportFixture, SealedFramesMatchTheWireFormat) {
   ASSERT_EQ(heard.size(), 3u);
   EXPECT_EQ(heard[2].header, AckFrame(peer->id(), {103}).header);
   EXPECT_TRUE(heard[2].body.empty());
-  EXPECT_EQ(a.stats().acks_sent, 1u);
-  EXPECT_EQ(a.stats().retransmits, 0u);
+  EXPECT_EQ(a_metrics.CounterValue("transport.acks_sent"), 1u);
+  EXPECT_EQ(a_metrics.CounterValue("transport.retransmits"), 0u);
 }
 
 TEST_F(TransportFixture, DedupWindowHoldsEachPeersLastWDeliveries) {
   TransportConfig config;
   config.dedup_window = 4;
   Transport b(sim_, lan_, config);
+  const MetricsRegistry& b_metrics = MetricsFor(b);
   Station* peer = lan_.AttachStation();
   Station* other = lan_.AttachStation();
   std::vector<std::pair<StationId, std::string>> delivered;
@@ -434,7 +464,7 @@ TEST_F(TransportFixture, DedupWindowHoldsEachPeersLastWDeliveries) {
   for (uint64_t id = 1; id <= 4; id++) {
     EXPECT_FALSE(resend(peer, id)) << id;
   }
-  EXPECT_EQ(b.stats().duplicates_suppressed, 4u);
+  EXPECT_EQ(b_metrics.CounterValue("transport.duplicates_suppressed"), 4u);
   // 5 pushes 1 out of the window, so 1 is delivered again; that pushes out
   // 2, which is delivered again in turn and pushes out 3.
   EXPECT_TRUE(resend(peer, 5));
@@ -461,23 +491,26 @@ TEST_F(TransportFixture, DedupWindowHoldsEachPeersLastWDeliveries) {
   EXPECT_TRUE(resend(other, 7));
   EXPECT_FALSE(resend(peer, 3));
   EXPECT_EQ(delivered.front(), std::make_pair(peer->id(), std::string("m1")));
-  EXPECT_EQ(b.stats().messages_delivered, delivered.size());
+  EXPECT_EQ(b_metrics.CounterValue("transport.messages_delivered"),
+            delivered.size());
 }
 
 TEST_F(TransportFixture, ResetDropsPendingState) {
   Transport a(sim_, lan_), b(sim_, lan_);
+  const MetricsRegistry& a_metrics = MetricsFor(a);
   lan_.DetachStation(b.station_id());
   a.SendReliable(b.station_id(), ToBytes("doomed"));
   sim_.RunFor(Milliseconds(5));
   a.Reset();
   sim_.Run();
   // After reset nothing is retransmitted and no failure is recorded for it.
-  EXPECT_EQ(a.stats().send_failures, 0u);
+  EXPECT_EQ(a_metrics.CounterValue("transport.send_failures"), 0u);
 }
 
 // --- Frame checksums vs. wire corruption (chaos hook) ------------------------
 
 // Scripted fault hook: corrupts the next `n` deliveries, passes the rest.
+// Like the chaos injector, it counts the faults it injects.
 class CorruptNextN : public WireFaultHook {
  public:
   explicit CorruptNextN(int n) : remaining_(n) {}
@@ -485,19 +518,24 @@ class CorruptNextN : public WireFaultHook {
     Decision decision;
     if (remaining_ > 0) {
       remaining_--;
+      corrupted_++;
       decision.corrupt = true;
     }
     return decision;
   }
+  uint64_t corrupted() const { return corrupted_; }
 
  private:
   int remaining_;
+  uint64_t corrupted_ = 0;
 };
 
 TEST_F(TransportFixture, CorruptedFrameIsDroppedAndRetransmitted) {
   CorruptNextN hook(1);  // the first delivery (the data frame) gets a bit flip
   lan_.set_fault_hook(&hook);
   Transport a(sim_, lan_), b(sim_, lan_);
+  const MetricsRegistry& a_metrics = MetricsFor(a);
+  const MetricsRegistry& b_metrics = MetricsFor(b);
   std::string received;
   b.SetHandler([&](StationId, BytesView message) { received = ToString(message); });
   a.SendReliable(b.station_id(), ToBytes("checksummed"));
@@ -505,10 +543,10 @@ TEST_F(TransportFixture, CorruptedFrameIsDroppedAndRetransmitted) {
   // The CRC caught the flip, the receiver dropped the frame without acking,
   // and the retransmit delivered the payload intact — exactly once.
   EXPECT_EQ(received, "checksummed");
-  EXPECT_EQ(lan_.stats().frames_corrupted, 1u);
-  EXPECT_GE(b.stats().frames_corrupt_dropped, 1u);
-  EXPECT_GT(a.stats().retransmits, 0u);
-  EXPECT_EQ(b.stats().messages_delivered, 1u);
+  EXPECT_EQ(hook.corrupted(), 1u);
+  EXPECT_GE(b_metrics.CounterValue("transport.frames_corrupt_dropped"), 1u);
+  EXPECT_GT(a_metrics.CounterValue("transport.retransmits"), 0u);
+  EXPECT_EQ(b_metrics.CounterValue("transport.messages_delivered"), 1u);
 }
 
 // Corrupt every third delivery — data frames, fragments and acks alike. The
@@ -519,17 +557,22 @@ class CorruptEveryThird : public WireFaultHook {
   Decision OnDeliver(StationId, StationId, size_t) override {
     Decision decision;
     decision.corrupt = (++count_ % 3) == 0;
+    corrupted_ += decision.corrupt ? 1 : 0;
     return decision;
   }
+  uint64_t corrupted() const { return corrupted_; }
 
  private:
   int count_ = 0;
+  uint64_t corrupted_ = 0;
 };
 
 TEST_F(TransportFixture, CorruptionStormStillDeliversExactlyOnce) {
   CorruptEveryThird hook;
   lan_.set_fault_hook(&hook);
   Transport a(sim_, lan_), b(sim_, lan_);
+  const MetricsRegistry& a_metrics = MetricsFor(a);
+  const MetricsRegistry& b_metrics = MetricsFor(b);
   int delivered = 0;
   b.SetHandler([&](StationId, BytesView) { delivered++; });
   for (int i = 0; i < 30; i++) {
@@ -537,17 +580,20 @@ TEST_F(TransportFixture, CorruptionStormStillDeliversExactlyOnce) {
   }
   sim_.Run();
   EXPECT_EQ(delivered, 30);  // nothing lost, nothing doubled
-  EXPECT_GT(lan_.stats().frames_corrupted, 0u);
+  EXPECT_GT(hook.corrupted(), 0u);
   // Every corrupted frame was caught by a checksum — including flips that
   // landed on the kind tag itself — and dropped by exactly one receiver.
-  EXPECT_EQ(a.stats().frames_corrupt_dropped + b.stats().frames_corrupt_dropped,
-            lan_.stats().frames_corrupted);
+  EXPECT_EQ(a_metrics.CounterValue("transport.frames_corrupt_dropped") +
+                b_metrics.CounterValue("transport.frames_corrupt_dropped"),
+            hook.corrupted());
 }
 
 TEST_F(TransportFixture, CorruptedFragmentOnlyCostsThatFragment) {
   CorruptNextN hook(1);
   lan_.set_fault_hook(&hook);
   Transport a(sim_, lan_), b(sim_, lan_);
+  const MetricsRegistry& a_metrics = MetricsFor(a);
+  const MetricsRegistry& b_metrics = MetricsFor(b);
   Bytes big(20 * 1024);
   for (size_t i = 0; i < big.size(); i++) {
     big[i] = static_cast<uint8_t>(i * 13);
@@ -559,8 +605,8 @@ TEST_F(TransportFixture, CorruptedFragmentOnlyCostsThatFragment) {
   // Reassembly still succeeds byte-for-byte; only the corrupted fragment was
   // retransmitted, not the whole message.
   EXPECT_EQ(received, big);
-  EXPECT_EQ(b.stats().frames_corrupt_dropped, 1u);
-  EXPECT_EQ(a.stats().retransmits, 1u);
+  EXPECT_EQ(b_metrics.CounterValue("transport.frames_corrupt_dropped"), 1u);
+  EXPECT_EQ(a_metrics.CounterValue("transport.retransmits"), 1u);
 }
 
 }  // namespace

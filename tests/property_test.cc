@@ -269,10 +269,10 @@ TEST_P(LanConservationProperty, FramesAreNeitherDuplicatedNorInvented) {
   b->SetReceiveHandler([&](const Frame&) { received++; });
   constexpr uint64_t kFrames = 200;
   for (uint64_t i = 0; i < kFrames; i++) {
-    a->Send(Frame{0, b->id(), Bytes(200)});
+    a->Send(Frame{.dst = b->id(), .header = Bytes(200)});
   }
   sim.Run();
-  const LanStats& stats = lan.stats();
+  LanStats stats = lan.stats();
   EXPECT_EQ(stats.frames_sent, kFrames);
   EXPECT_EQ(received, stats.frames_delivered);
   EXPECT_EQ(stats.frames_delivered + stats.frames_lost +

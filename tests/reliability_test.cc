@@ -38,7 +38,7 @@ class ReliabilityFixture : public ::testing::Test {
 TEST_F(ReliabilityFixture, CheckpointWritesToStableStore) {
   Capability cap = MakeCheckpointedCounter(5);
   EXPECT_TRUE(system_.node(0).HasCheckpoint(cap.name()));
-  EXPECT_GT(system_.node(0).store().stats().writes, 0u);
+  EXPECT_GT(system_.node(0).metrics().CounterValue("store.writes"), 0u);
 }
 
 TEST_F(ReliabilityFixture, CrashWithoutCheckpointLosesObject) {

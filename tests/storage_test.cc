@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "src/metrics/metrics.h"
 #include "src/sim/task.h"
 #include "src/storage/stable_store.h"
 
@@ -115,7 +116,9 @@ TEST(StableStoreTest, ReadsSerializeThroughOneArm) {
 
 TEST(StableStoreTest, GroupCommitCoalescesQueuedWrites) {
   Simulation sim;
+  MetricsRegistry metrics;
   StableStore store(sim);
+  store.set_metrics(&metrics);
   SimTime start = sim.now();
   // The first write spins the arm up alone; the other three arrive while it
   // is busy and must share a single durable flush.
@@ -125,8 +128,8 @@ TEST(StableStoreTest, GroupCommitCoalescesQueuedWrites) {
   Future<Status> w4 = store.Put("w4", Bytes(1000));
   Await(sim, w4);
   EXPECT_TRUE(w1.ready() && w2.ready() && w3.ready());
-  EXPECT_EQ(store.stats().batch_flushes, 2u);
-  EXPECT_EQ(store.stats().batched_writes, 3u);
+  EXPECT_EQ(metrics.CounterValue("store.batch_flushes"), 2u);
+  EXPECT_EQ(metrics.CounterValue("store.batched_writes"), 3u);
   // Far cheaper than four cold accesses in the FIFO model.
   EXPECT_LT(sim.now() - start, 4 * Milliseconds(38));
 }
@@ -135,7 +138,9 @@ TEST(StableStoreTest, CommitIntervalHoldsIdleWritesForBatching) {
   Simulation sim;
   DiskConfig config;
   config.commit_interval = Milliseconds(5);
+  MetricsRegistry metrics;
   StableStore store(sim, config);
+  store.set_metrics(&metrics);
 
   Future<Status> w1 = store.Put("w1", Bytes(100));
   // Arrives during the hold-off window: joins w1's flush.
@@ -144,8 +149,8 @@ TEST(StableStoreTest, CommitIntervalHoldsIdleWritesForBatching) {
   w1.OnReady([&] { w1_done = sim.now(); });
   Await(sim, w2);
   EXPECT_EQ(sim.now(), w1_done);  // one flush, one completion instant
-  EXPECT_EQ(store.stats().batch_flushes, 1u);
-  EXPECT_EQ(store.stats().batched_writes, 2u);
+  EXPECT_EQ(metrics.CounterValue("store.batch_flushes"), 1u);
+  EXPECT_EQ(metrics.CounterValue("store.batched_writes"), 2u);
   EXPECT_GE(sim.now(), Milliseconds(5));  // the hold-off actually happened
 }
 
@@ -229,7 +234,9 @@ TEST(StableStoreTest, BatchRespectsMaxBatchBytes) {
   Simulation sim;
   DiskConfig config;
   config.max_batch_bytes = 250 * 1000;
+  MetricsRegistry metrics;
   StableStore store(sim, config);
+  store.set_metrics(&metrics);
 
   std::vector<Future<Status>> writes;
   for (int i = 0; i < 5; i++) {
@@ -240,20 +247,22 @@ TEST(StableStoreTest, BatchRespectsMaxBatchBytes) {
   }
   // {w0} dispatches alone; the four queued 100 KB writes split into two
   // flushes of two (a third member would exceed max_batch_bytes).
-  EXPECT_EQ(store.stats().batch_flushes, 3u);
-  EXPECT_EQ(store.stats().batched_writes, 4u);
+  EXPECT_EQ(metrics.CounterValue("store.batch_flushes"), 3u);
+  EXPECT_EQ(metrics.CounterValue("store.batched_writes"), 4u);
 }
 
 TEST(StableStoreTest, MaxBatchOpsOneDisablesBatching) {
   Simulation sim;
   DiskConfig config;
   config.max_batch_ops = 1;
+  MetricsRegistry metrics;
   StableStore store(sim, config);
+  store.set_metrics(&metrics);
   Future<Status> w1 = store.Put("a", Bytes(10));
   Future<Status> w2 = store.Put("b", Bytes(10));
   Await(sim, w2);
-  EXPECT_EQ(store.stats().batch_flushes, 2u);
-  EXPECT_EQ(store.stats().batched_writes, 0u);
+  EXPECT_EQ(metrics.CounterValue("store.batch_flushes"), 2u);
+  EXPECT_EQ(metrics.CounterValue("store.batched_writes"), 0u);
 }
 
 TEST(StableStoreTest, PendingReadPreemptsWritesAfterFairnessCap) {
@@ -347,15 +356,17 @@ TEST(StableStoreTest, KeysListsEverythingSorted) {
 
 TEST(StableStoreTest, StatsAccumulate) {
   Simulation sim;
+  MetricsRegistry metrics;
   StableStore store(sim);
+  store.set_metrics(&metrics);
   Await(sim, store.Put("k", Bytes(500)));
   Await(sim, store.Get("k"));
   Await(sim, store.Delete("k"));
-  EXPECT_EQ(store.stats().writes, 1u);
-  EXPECT_EQ(store.stats().reads, 1u);
-  EXPECT_EQ(store.stats().deletes, 1u);
-  EXPECT_EQ(store.stats().written_bytes, 500u);
-  EXPECT_EQ(store.stats().read_bytes, 500u);
+  EXPECT_EQ(metrics.CounterValue("store.writes"), 1u);
+  EXPECT_EQ(metrics.CounterValue("store.reads"), 1u);
+  EXPECT_EQ(metrics.CounterValue("store.deletes"), 1u);
+  EXPECT_EQ(metrics.CounterValue("store.written_bytes"), 500u);
+  EXPECT_EQ(metrics.CounterValue("store.read_bytes"), 500u);
   EXPECT_GT(store.stats().busy_time, 0);
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -94,7 +95,7 @@ ScenarioResult RunScenario(uint64_t seed, size_t shards, bool telemetry) {
   for (size_t n = 0; n < system.node_count(); n++) {
     result.digests.push_back(system.node(n).digest().value());
   }
-  const LanStats& lan = system.lan().stats();
+  LanStats lan = system.lan().stats();
   result.frames_sent = lan.frames_sent;
   result.frames_delivered = lan.frames_delivered;
   result.bytes_on_wire = lan.bytes_on_wire;
@@ -161,6 +162,101 @@ TEST(Telemetry, EnablingTelemetryLeavesExecutionUntouched) {
     EXPECT_EQ(on.bytes_on_wire, off.bytes_on_wire) << shards << " shards";
     EXPECT_EQ(on.completed, off.completed) << shards << " shards";
     EXPECT_EQ(on.failed, off.failed) << shards << " shards";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// LAN counts: one record, published alike in both media
+// ---------------------------------------------------------------------------
+
+// Expects `registry` to hold exactly the six lan.* counters, each equal to
+// the LanStats field it publishes.
+void ExpectLanCountersMatch(const MetricsRegistry& registry,
+                            const LanStats& stats) {
+  const std::map<std::string, uint64_t> fields = {
+      {"lan.frames_sent", stats.frames_sent},
+      {"lan.frames_delivered", stats.frames_delivered},
+      {"lan.frames_lost", stats.frames_lost},
+      {"lan.collisions", stats.collisions},
+      {"lan.transmit_failures", stats.transmit_failures},
+      {"lan.bytes_on_wire", stats.bytes_on_wire},
+  };
+  size_t published = 0;
+  for (const auto& [name, counter] : registry.counters()) {
+    if (name.rfind("lan.", 0) != 0) {
+      continue;
+    }
+    auto field = fields.find(name);
+    ASSERT_NE(field, fields.end()) << name << " has no LanStats field";
+    EXPECT_EQ(counter->value(), field->second) << name;
+    published++;
+  }
+  EXPECT_EQ(published, fields.size());
+}
+
+TEST(LanCounts, RollupPublishesLanStatsInBothMedia) {
+  for (size_t shards : {0u, 2u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    SystemConfig config;
+    config.seed = 29;
+    config.shards = shards;
+    config.lan.loss_probability = 0.05;
+    EdenSystem system(config);
+    RegisterStandardTypes(system);
+    system.AddNodes(6);
+    Capability low =
+        *system.node(0).CreateObject("std.counter", Representation{});
+    Capability high =
+        *system.node(4).CreateObject("std.counter", Representation{});
+    WorkFactory factory = [low, high](size_t client, uint64_t seq) {
+      return WorkItem{((client + seq) % 2 == 0) ? low : high, "increment",
+                      InvokeArgs{}.AddU64(1)};
+    };
+    RunClosedLoop(system, {0, 1, 2, 3, 4, 5}, factory, Milliseconds(40));
+    LanStats stats = system.lan().stats();
+    EXPECT_GT(stats.frames_sent, 0u);
+    EXPECT_GT(stats.frames_lost, 0u);
+    ExpectLanCountersMatch(system.Rollup(), stats);
+  }
+}
+
+TEST(LanCounts, ScrapePublishesTheLanCountsOfItsInstant) {
+  // The LAN counts per station and publishes to lan.* only when synced, so
+  // an unsharded scrape must sync it first: stopped right after a scrape,
+  // mid-traffic, the raw system registry (no Rollup) matches the LAN.
+  SystemConfig config;
+  config.seed = 29;
+  config.lan.loss_probability = 0.05;
+  config.telemetry.enabled = true;
+  config.telemetry.scrape_interval = Milliseconds(1);
+  EdenSystem system(config);
+  RegisterStandardTypes(system);
+  system.AddNodes(6);
+  Capability target =
+      *system.node(0).CreateObject("std.counter", Representation{});
+  std::vector<Future<InvokeResult>> calls;
+  for (size_t n = 1; n < system.node_count(); n++) {
+    for (int i = 0; i < 8; i++) {
+      calls.push_back(
+          system.node(n).Invoke(target, "increment", InvokeArgs{}.AddU64(1)));
+    }
+  }
+  Telemetry* telemetry = system.telemetry();
+  uint64_t scrape = telemetry->ticks() + 3;
+  system.sim().RunWhile([&] { return telemetry->ticks() < scrape; });
+
+  size_t finished = 0;
+  for (const Future<InvokeResult>& call : calls) {
+    finished += call.ready() ? 1 : 0;
+  }
+  EXPECT_LT(finished, calls.size()) << "the scrape should land mid-traffic";
+  uint64_t sent = system.lan().stats().frames_sent;
+  EXPECT_GT(sent, 0u);
+  EXPECT_EQ(system.metrics().CounterValue("lan.frames_sent"), sent);
+
+  // Finish the traffic: no invocation may be left suspended at teardown.
+  for (const Future<InvokeResult>& call : calls) {
+    EXPECT_TRUE(system.Await(call).ok());
   }
 }
 
