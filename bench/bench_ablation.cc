@@ -7,8 +7,6 @@
 //                                    mechanism (active hosts must win); the
 //                                    sweep shows its latency cost on the
 //                                    reincarnation path.
-//   BM_AblateFrozenCache/on          frozen-object replica caching on/off:
-//                                    steady-state read latency.
 //   BM_AblateRetransmitTimeout/ms    transport retransmit timer under 15%
 //                                    frame loss: too small wastes the wire,
 //                                    too large stalls invocations.
@@ -51,28 +49,6 @@ BENCHMARK(BM_AblatePassiveReplyDelay)
     ->Arg(5)
     ->Arg(10)
     ->UseManualTime();
-
-void BM_AblateFrozenCache(benchmark::State& state) {
-  bool cache_on = state.range(0) != 0;
-  SystemConfig config;
-  config.kernel.cache_frozen_replicas = cache_on;
-  EdenSystem system(config);
-  MetricsExportScope export_scope(system);
-  RegisterStandardTypes(system);
-  system.AddNodes(3);
-  Capability data = MakeDataObject(system, 0, 8 * 1024);
-  system.Await(system.node(0).Invoke(data, "freeze"));
-  // Warm-up: first read (and replica fetch if enabled).
-  system.Await(system.node(2).Invoke(data, "get"));
-  system.RunFor(Milliseconds(500));
-  for (auto _ : state) {
-    SimDuration elapsed = TimeAwait(system, system.node(2).Invoke(data, "get"));
-    SetVirtualTime(state, elapsed);
-  }
-  state.counters["has_replica"] =
-      system.node(2).HasReplica(data.name()) ? 1 : 0;
-}
-BENCHMARK(BM_AblateFrozenCache)->Arg(0)->Arg(1)->UseManualTime();
 
 void BM_AblateRetransmitTimeout(benchmark::State& state) {
   SystemConfig config;

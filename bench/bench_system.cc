@@ -6,7 +6,7 @@
 //   45%  counter increments  (shared service object)
 //   25%  directory lookups   (naming traffic)
 //   20%  mailbox deposits    (write-through durable mail)
-//   10%  data reads of a frozen, replica-cached 4 KB object
+//   10%  data reads of a frozen 4 KB object, served from leased local copies
 //
 //   BM_MixedWorkload/clients          steady state, sweep client count
 //   BM_MixedWorkloadWithFailure       same mix while a node fails and

@@ -11,7 +11,9 @@
 // sites in order to save the overhead of remote invocations. Many traditional
 // operating system utilities, such as compilers, will have this property."
 // A "compiler release" object is frozen and then consulted from every node;
-// after the first remote read each node serves it from a local replica.
+// after the first remote read each node serves it from a local copy, a read
+// lease that never expires. Exits 1 unless every node reports its copy
+// cached and exactly one remote invocation for its three reads.
 //
 //   $ ./load_balancer
 #include <cstdio>
@@ -115,23 +117,30 @@ int main() {
   auto compiler = system.node(0).CreateObject("std.data", release);
   system.Await(system.node(0).Invoke(*compiler, "freeze"));
 
+  bool all_cached = true;
   for (size_t n = 1; n < system.node_count(); n++) {
-    // First read is remote and triggers a background replica fetch...
+    // First read is remote; the home pushes a copy that never expires...
     uint64_t remote_before =
         system.node(n).metrics().CounterValue("kernel.invoke.remote");
     system.Await(system.node(n).Invoke(*compiler, "get"));
-    system.RunFor(Milliseconds(200));  // replica fetch completes
+    system.RunFor(Milliseconds(200));  // the copy lands
     // ...every later read is served locally.
     system.Await(system.node(n).Invoke(*compiler, "get"));
     system.Await(system.node(n).Invoke(*compiler, "get"));
     uint64_t remote_after =
         system.node(n).metrics().CounterValue("kernel.invoke.remote");
+    bool cached = system.node(n).HasReplica(compiler->name());
     std::printf("   node%zu: replica cached=%s, remote invocations for 3 reads: %llu\n",
-                n, system.node(n).HasReplica(compiler->name()) ? "yes" : "no",
+                n, cached ? "yes" : "no",
                 static_cast<unsigned long long>(remote_after - remote_before));
+    all_cached = all_cached && cached && remote_after - remote_before == 1;
   }
 
   std::printf("\nvirtual time elapsed: %.3f ms\n",
               ToMilliseconds(system.sim().now()));
+  if (!all_cached) {
+    std::printf("FAIL: a node did not serve its later reads from a local copy\n");
+    return 1;
+  }
   return 0;
 }

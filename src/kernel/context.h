@@ -89,7 +89,8 @@ class InvokeContext {
   Future<Status> RequestMove(StationId new_home);
 
   // Makes the representation immutable; the kernel may then replicate and
-  // cache it at other nodes (section 4.3). One-way.
+  // cache it at other nodes (section 4.3) as a read lease that never expires.
+  // One-way.
   Status Freeze();
 
   // --- Scheduling / synchronization ----------------------------------------

@@ -33,12 +33,28 @@ StatusOr<MessageKind> PeekMessageKind(BytesView message) {
   if (message.empty()) {
     return InvalidArgumentError("empty message");
   }
-  uint8_t tag = message[0];
-  if (tag < static_cast<uint8_t>(MessageKind::kInvokeRequest) ||
-      tag > static_cast<uint8_t>(MessageKind::kLeaseRelease)) {
-    return InvalidArgumentError("unknown message kind");
+  // No default: -Wswitch flags a kind added without a case here.
+  switch (auto kind = static_cast<MessageKind>(message[0])) {
+    case MessageKind::kInvokeRequest:
+    case MessageKind::kInvokeReply:
+    case MessageKind::kInvokeRedirect:
+    case MessageKind::kLocateRequest:
+    case MessageKind::kLocateReply:
+    case MessageKind::kMoveTransfer:
+    case MessageKind::kMoveAck:
+    case MessageKind::kCheckpointPut:
+    case MessageKind::kCheckpointAck:
+    case MessageKind::kCheckpointErase:
+    case MessageKind::kPing:
+    case MessageKind::kDirectoryUpdate:
+    case MessageKind::kDirectoryLookup:
+    case MessageKind::kDirectoryReply:
+    case MessageKind::kLeaseGrant:
+    case MessageKind::kLeaseRecall:
+    case MessageKind::kLeaseRelease:
+      return kind;
   }
-  return static_cast<MessageKind>(tag);
+  return InvalidArgumentError("unknown message kind");
 }
 
 Bytes InvokeRequestMsg::Encode() const {
@@ -85,7 +101,7 @@ Bytes InvokeReplyMsg::Encode() const {
       StartMessage(MessageKind::kInvokeReply, result.EncodedSizeBound());
   writer.WriteU64(invocation_id);
   result.Encode(writer);
-  writer.WriteBool(target_frozen);
+  writer.WriteU8(0);  // reserved
   writer.WriteU64(lease_renew_expiry);
   return writer.Take();
 }
@@ -96,7 +112,7 @@ StatusOr<InvokeReplyMsg> InvokeReplyMsg::Decode(BytesView message) {
   InvokeReplyMsg msg;
   EDEN_ASSIGN_OR_RETURN(msg.invocation_id, reader.ReadU64());
   EDEN_ASSIGN_OR_RETURN(msg.result, InvokeResult::Decode(reader));
-  EDEN_ASSIGN_OR_RETURN(msg.target_frozen, reader.ReadBool());
+  EDEN_RETURN_IF_ERROR(reader.ReadU8().status());  // reserved
   EDEN_ASSIGN_OR_RETURN(msg.lease_renew_expiry, reader.ReadU64());
   return msg;
 }
@@ -177,7 +193,7 @@ Bytes MoveTransferMsg::Encode() const {
   for (const CachedReplyEntry& entry : cached_replies) {
     writer.WriteU64(entry.invocation_id);
     entry.result.Encode(writer);
-    writer.WriteBool(entry.frozen);
+    writer.WriteU8(0);  // reserved
   }
   return writer.Take();
 }
@@ -202,7 +218,7 @@ StatusOr<MoveTransferMsg> MoveTransferMsg::Decode(BytesView message) {
     MoveTransferMsg::CachedReplyEntry entry;
     EDEN_ASSIGN_OR_RETURN(entry.invocation_id, reader.ReadU64());
     EDEN_ASSIGN_OR_RETURN(entry.result, InvokeResult::Decode(reader));
-    EDEN_ASSIGN_OR_RETURN(entry.frozen, reader.ReadBool());
+    EDEN_RETURN_IF_ERROR(reader.ReadU8().status());  // reserved
     msg.cached_replies.push_back(std::move(entry));
   }
   return msg;
@@ -283,48 +299,6 @@ StatusOr<CheckpointEraseMsg> CheckpointEraseMsg::Decode(BytesView message) {
   EDEN_RETURN_IF_ERROR(ExpectKind(reader, MessageKind::kCheckpointErase));
   CheckpointEraseMsg msg;
   EDEN_ASSIGN_OR_RETURN(msg.name, ObjectName::Decode(reader));
-  return msg;
-}
-
-Bytes ReplicaFetchMsg::Encode() const {
-  BufferWriter writer = StartMessage(MessageKind::kReplicaFetch);
-  writer.WriteU64(request_id);
-  writer.WriteU32(reply_to);
-  name.Encode(writer);
-  span.Encode(writer);
-  return writer.Take();
-}
-
-StatusOr<ReplicaFetchMsg> ReplicaFetchMsg::Decode(BytesView message) {
-  BufferReader reader(message);
-  EDEN_RETURN_IF_ERROR(ExpectKind(reader, MessageKind::kReplicaFetch));
-  ReplicaFetchMsg msg;
-  EDEN_ASSIGN_OR_RETURN(msg.request_id, reader.ReadU64());
-  EDEN_ASSIGN_OR_RETURN(msg.reply_to, reader.ReadU32());
-  EDEN_ASSIGN_OR_RETURN(msg.name, ObjectName::Decode(reader));
-  EDEN_ASSIGN_OR_RETURN(msg.span, SpanContext::Decode(reader));
-  return msg;
-}
-
-Bytes ReplicaReplyMsg::Encode() const {
-  BufferWriter writer = StartMessage(MessageKind::kReplicaReply);
-  writer.WriteU64(request_id);
-  name.Encode(writer);
-  writer.WriteBool(ok);
-  writer.WriteString(type_name);
-  representation.Encode(writer);
-  return writer.Take();
-}
-
-StatusOr<ReplicaReplyMsg> ReplicaReplyMsg::Decode(BytesView message) {
-  BufferReader reader(message);
-  EDEN_RETURN_IF_ERROR(ExpectKind(reader, MessageKind::kReplicaReply));
-  ReplicaReplyMsg msg;
-  EDEN_ASSIGN_OR_RETURN(msg.request_id, reader.ReadU64());
-  EDEN_ASSIGN_OR_RETURN(msg.name, ObjectName::Decode(reader));
-  EDEN_ASSIGN_OR_RETURN(msg.ok, reader.ReadBool());
-  EDEN_ASSIGN_OR_RETURN(msg.type_name, reader.ReadString());
-  EDEN_ASSIGN_OR_RETURN(msg.representation, Representation::Decode(reader));
   return msg;
 }
 

@@ -30,8 +30,7 @@ enum class MessageKind : uint8_t {
   kCheckpointPut = 8,   // remote write of long-term state to a checksite
   kCheckpointAck = 9,
   kCheckpointErase = 10,  // destroy: remove long-term state
-  kReplicaFetch = 11,   // pull a frozen object's representation for caching
-  kReplicaReply = 12,
+  // Tags 11 and 12 are retired; PeekMessageKind rejects them.
   // Peer-health probe (DESIGN.md §11). Carries nothing: the transport-level
   // ack of this reliable send is the "peer is alive" answer, so no reply
   // message exists.
@@ -42,17 +41,19 @@ enum class MessageKind : uint8_t {
   kDirectoryUpdate = 14,  // residence publish to the object's home node(s)
   kDirectoryLookup = 15,
   kDirectoryReply = 16,
-  // Lease-based read caching of mutable objects (DESIGN.md §15). The home
-  // node pushes a grant (with a representation snapshot) to a reader; writes
-  // recall outstanding leases, holders answer with a release. All three ride
-  // the reliable transport — a recall lost under a partition is bounded by
-  // the lease's expiry, never by an unbounded retry.
+  // Lease-based read caching (DESIGN.md §15). The home node pushes a grant
+  // (with a representation snapshot) to a reader; writes recall outstanding
+  // leases, holders answer with a release. A frozen object's grant never
+  // expires and is never recalled. All three ride the reliable transport — a
+  // recall lost under a partition is bounded by the lease's expiry, never by
+  // an unbounded retry.
   kLeaseGrant = 17,
   kLeaseRecall = 18,
   kLeaseRelease = 19,
 };
 
-// Reads the kind tag without consuming the rest.
+// Reads the kind tag without consuming the rest; a tag that names no
+// MessageKind (retired ones included) is an error.
 StatusOr<MessageKind> PeekMessageKind(BytesView message);
 
 constexpr StationId kNoStationRequest = 0xfffffffeu;
@@ -79,9 +80,9 @@ struct InvokeRequestMsg {
 struct InvokeReplyMsg {
   uint64_t invocation_id = 0;
   InvokeResult result;
-  // Tells the invoking kernel the target is frozen, so it may cache a
-  // replica (paper section 4.3).
-  bool target_frozen = false;
+  // One reserved byte, always zero, follows the result on the wire. Dropping
+  // it would shrink every reply by a byte, which shifts the timing of every
+  // seeded run and so every pinned determinism digest.
   // Lease renewal piggyback (DESIGN.md §15): when nonzero, the home extends
   // the invoker's read lease on the target to this absolute expiry. Encoded
   // fixed-width — always present, zero when leases are off — so message
@@ -148,11 +149,12 @@ struct MoveTransferMsg {
   SpanContext span;
   // The source's at-most-once reply cache entries for this object, carried
   // so a retried request that lands at the new home after the move is
-  // re-replied there instead of re-executed.
+  // re-replied there instead of re-executed. Each entry is followed on the
+  // wire by the same reserved zero byte as InvokeReplyMsg, for the same
+  // reason.
   struct CachedReplyEntry {
     uint64_t invocation_id = 0;
     InvokeResult result;
-    bool frozen = false;
   };
   std::vector<CachedReplyEntry> cached_replies;
 
@@ -211,28 +213,6 @@ struct CheckpointEraseMsg {
   static StatusOr<CheckpointEraseMsg> Decode(BytesView message);
 };
 
-struct ReplicaFetchMsg {
-  uint64_t request_id = 0;
-  StationId reply_to = 0;
-  ObjectName name;
-  // Causal context of the invocation whose reply prompted the fetch.
-  SpanContext span;
-
-  Bytes Encode() const;
-  static StatusOr<ReplicaFetchMsg> Decode(BytesView message);
-};
-
-struct ReplicaReplyMsg {
-  uint64_t request_id = 0;
-  ObjectName name;
-  bool ok = false;
-  std::string type_name;
-  Representation representation;
-
-  Bytes Encode() const;
-  static StatusOr<ReplicaReplyMsg> Decode(BytesView message);
-};
-
 struct PingMsg {
   Bytes Encode() const;
   static StatusOr<PingMsg> Decode(BytesView message);
@@ -271,7 +251,8 @@ struct DirectoryLookupMsg {
 
 // Read-lease grant pushed by an object's home node (DESIGN.md §15). Carries
 // a snapshot of the representation; the holder installs it as a local cached
-// copy and serves read-class invocations from it until `expiry`.
+// copy and serves read-class invocations from it until `expiry`
+// (kSimTimeNever for a frozen object).
 struct LeaseGrantMsg {
   ObjectName name;
   std::string type_name;

@@ -113,8 +113,6 @@ void NodeKernel::InitMetrics() {
   counters_.crashes = &metrics_.counter("kernel.crashes");
   counters_.moves_out = &metrics_.counter("kernel.moves_out");
   counters_.moves_in = &metrics_.counter("kernel.moves_in");
-  counters_.replica_fetches = &metrics_.counter("kernel.replica.fetches");
-  counters_.replica_reads = &metrics_.counter("kernel.replica.reads");
   counters_.duplicate_requests = &metrics_.counter("kernel.duplicate_requests");
   counters_.lease_grants = &metrics_.counter("kernel.lease.grants");
   counters_.lease_recalls = &metrics_.counter("kernel.lease.recalls");
@@ -356,45 +354,33 @@ void NodeKernel::TryResolve(uint64_t id) {
   // invocations dispatch into the leased copy with zero network traffic.
   // Near expiry the read routes to the home instead, so the reply can
   // piggyback a renewal; write-class invocations always route to the home.
-  if (config_.lease_reads) {
-    if (auto lease = lease_cache_.find(name); lease != lease_cache_.end()) {
-      SimTime now = sim().now();
-      if (lease->second.expiry <= now) {
-        counters_.lease_expiries->Increment();
-        lease_cache_.erase(lease);
-      } else {
-        const OperationSpec* op =
-            lease->second.replica->type->FindOperation(pending.operation);
-        if (op != nullptr && op->read_only &&
-            lease->second.expiry > now + config_.lease_renew_margin) {
-          counters_.lease_local_reads->Increment();
-          DispatchLocally(id, lease->second.replica);
-          return;
-        }
-        SendRequestTo(id, lease->second.home);
+  // A frozen object's copy never expires (paper section 4.3).
+  if (auto lease = lease_cache_.find(name); lease != lease_cache_.end()) {
+    SimTime now = sim().now();
+    if (lease->second.expiry <= now) {
+      counters_.lease_expiries->Increment();
+      lease_cache_.erase(lease);
+    } else {
+      const OperationSpec* op =
+          lease->second.replica->type->FindOperation(pending.operation);
+      if (op != nullptr && op->read_only &&
+          lease->second.expiry > now + config_.lease_renew_margin) {
+        counters_.lease_local_reads->Increment();
+        DispatchLocally(id, lease->second.replica);
         return;
       }
-    }
-  }
-
-  // 3. Cached replica of a frozen object, for read-only operations.
-  if (auto replica = replicas_.find(name); replica != replicas_.end()) {
-    const OperationSpec* op =
-        replica->second->type->FindOperation(pending.operation);
-    if (op != nullptr && op->read_only) {
-      counters_.replica_reads->Increment();
-      DispatchLocally(id, replica->second);
+      SendRequestTo(id, lease->second.home);
       return;
     }
   }
 
-  // 4. Reincarnation already under way on this node.
+  // 3. Reincarnation already under way on this node.
   if (activating_.count(name) > 0) {
     activation_local_waiters_[name].push_back(id);
     return;
   }
 
-  // 5. We moved it away: follow the forwarding address — unless this very
+  // 4. We moved it away: follow the forwarding address — unless this very
   // invocation already found that host dead or ignorant, in which case the
   // pointer is stale and must be dropped (same healing the remote path gets
   // via InvokeRequestMsg::avoid_hosts).
@@ -407,21 +393,21 @@ void NodeKernel::TryResolve(uint64_t id) {
     }
   }
 
-  // 6. Location cache.
+  // 5. Location cache.
   if (auto hint = location_cache_.find(name); hint != location_cache_.end()) {
     counters_.locate_cache_hits->Increment();
     SendRequestTo(id, hint->second.host);
     return;
   }
 
-  // 7. Passive on this node (we hold its authoritative checkpoint).
+  // 6. Passive on this node (we hold its authoritative checkpoint).
   if (store_->Contains(CheckpointKey(name))) {
     activation_local_waiters_[name].push_back(id);
     BeginActivation(name, pending.span);
     return;
   }
 
-  // 8. Ask the network.
+  // 7. Ask the network.
   StartLocate(id);
 }
 
@@ -824,20 +810,6 @@ void NodeKernel::OnMessage(StationId src, BytesView message) {
       }
       break;
     }
-    case MessageKind::kReplicaFetch: {
-      auto msg = ReplicaFetchMsg::Decode(message);
-      if (msg.ok()) {
-        HandleReplicaFetch(src, *msg);
-      }
-      break;
-    }
-    case MessageKind::kReplicaReply: {
-      auto msg = ReplicaReplyMsg::Decode(message);
-      if (msg.ok()) {
-        HandleReplicaReply(src, std::move(*msg));
-      }
-      break;
-    }
     case MessageKind::kPing:
       // Health probe: the transport-level ack already answered it.
       break;
@@ -895,7 +867,6 @@ void NodeKernel::HandleInvokeRequest(StationId src, InvokeRequestMsg msg) {
     InvokeReplyMsg reply;
     reply.invocation_id = id;
     reply.result = cached->second.result;
-    reply.target_frozen = cached->second.frozen;
     transport_->SendReliable(msg.reply_to, reply.Encode());
     return;
   }
@@ -985,7 +956,6 @@ void NodeKernel::HandleInvokeReply(StationId src, InvokeReplyMsg msg) {
     return;
   }
   ObjectName name = it->second.target.name();
-  SpanContext inv_span = it->second.span;
   // Renewal piggyback (DESIGN.md §15): the home extends a lease we already
   // hold on this object. Only forward extensions apply — a lease recalled or
   // re-granted in the meantime carries a different version and the stale
@@ -998,10 +968,6 @@ void NodeKernel::HandleInvokeReply(StationId src, InvokeReplyMsg msg) {
     }
   }
   CompleteInvocation(msg.invocation_id, std::move(msg.result));
-  if (msg.target_frozen && config_.cache_frozen_replicas &&
-      replicas_.count(name) == 0 && active_.count(name) == 0) {
-    MaybeFetchReplica(name, src, inv_span);
-  }
 }
 
 void NodeKernel::HandleInvokeRedirect(StationId src, const InvokeRedirectMsg& msg) {
@@ -1053,7 +1019,7 @@ void NodeKernel::HandleInvokeRedirect(StationId src, const InvokeRedirectMsg& ms
 
 void NodeKernel::HandleLocateRequest(StationId src, const LocateRequestMsg& msg) {
   const ObjectName name = msg.name;
-  // Replicas never answer: only the authoritative copy counts.
+  // Leased copies never answer: only the authoritative copy counts.
   bool is_active_here = active_.count(name) > 0 || activating_.count(name) > 0;
   if (is_active_here) {
     LocateReplyMsg reply;
@@ -1165,8 +1131,7 @@ void NodeKernel::AcceptDispatch(const std::shared_ptr<ActiveObject>& object,
   // recall the leases (or wait out the post-reincarnation quiesce) first.
   // Admitted writes are counted in lease_mutators_pending from here until
   // they terminate, so no lease is granted over a queued or running write.
-  if (config_.lease_reads && !object->is_replica && op->mutates &&
-      !op->read_only) {
+  if (config_.lease_reads && op->mutates && !op->read_only) {
     if (LeaseWriteBlocked(object)) {
       StartLeaseRecall(object, std::move(d));
       return;
@@ -1204,7 +1169,7 @@ DetachedTask NodeKernel::RunInvocation(std::shared_ptr<ActiveObject> object,
     if (d.lease_mutator) {
       object->lease_mutators_pending--;
     }
-    ReplyTo(d, InvokeResult::Error(AbortedError("object crashed")), false);
+    ReplyTo(d, InvokeResult::Error(AbortedError("object crashed")));
     FinishDispatch(object, class_index);
     co_return;
   }
@@ -1224,7 +1189,7 @@ DetachedTask NodeKernel::RunInvocation(std::shared_ptr<ActiveObject> object,
   }
   // Even if the object crashed or moved while we ran, the invoker gets the
   // produced reply (the work happened); bookkeeping checks map identity.
-  ReplyTo(d, std::move(result), object->frozen, lease_renew_expiry);
+  ReplyTo(d, std::move(result), lease_renew_expiry);
   FinishDispatch(object, class_index);
 }
 
@@ -1269,7 +1234,7 @@ void NodeKernel::PumpQueues(const std::shared_ptr<ActiveObject>& object) {
 }
 
 void NodeKernel::ReplyTo(const PendingDispatch& d, InvokeResult result,
-                         bool target_frozen, uint64_t lease_renew_expiry) {
+                         uint64_t lease_renew_expiry) {
   uint64_t id = d.request.invocation_id;
   EndSpan(d.span, result.status.ok()
                       ? std::string()
@@ -1281,12 +1246,11 @@ void NodeKernel::ReplyTo(const PendingDispatch& d, InvokeResult result,
     });
     return;
   }
-  CacheReply(id, d.request.target.name(), result, target_frozen);
+  CacheReply(id, d.request.target.name(), result);
   requests_in_progress_.erase(id);
   InvokeReplyMsg reply;
   reply.invocation_id = id;
   reply.result = std::move(result);
-  reply.target_frozen = target_frozen;
   reply.lease_renew_expiry = lease_renew_expiry;
   Bytes encoded = reply.Encode();
   // Receive-side kernel processing for the request plus reply marshalling.
@@ -1303,12 +1267,12 @@ void NodeKernel::ReplyTo(const PendingDispatch& d, InvokeResult result,
 }
 
 void NodeKernel::RefuseDispatch(const PendingDispatch& d, Status status) {
-  ReplyTo(d, InvokeResult::Error(std::move(status)), false);
+  ReplyTo(d, InvokeResult::Error(std::move(status)));
 }
 
 void NodeKernel::CacheReply(uint64_t invocation_id, const ObjectName& object,
-                            const InvokeResult& result, bool frozen) {
-  CachedReply entry{result, frozen, object};
+                            const InvokeResult& result) {
+  CachedReply entry{result, object};
   reply_cache_order_.push_back(invocation_id);
   // At capacity the oldest entry goes, and its map node carries the new one.
   // Evicting first is the same as evicting after the insert unless the new
@@ -1339,12 +1303,20 @@ void NodeKernel::CacheReply(uint64_t invocation_id, const ObjectName& object,
 
 uint64_t NodeKernel::MaybeGrantLease(const std::shared_ptr<ActiveObject>& object,
                                      StationId reader) {
+  // A frozen object is a lease that never expires and is never recalled
+  // (paper section 4.3; Gray & Cheriton): no holder is recorded, no renewal
+  // piggybacks, and leases need not be enabled.
+  if (object->frozen) {
+    if (object->core->alive && reader != station()) {
+      SendLeaseGrant(object, reader, kSimTimeNever);
+    }
+    return 0;
+  }
   // No grant while anything could invalidate the snapshot: a write queued or
   // running, a recall open, a move draining, the post-reincarnation quiesce.
-  if (!config_.lease_reads || object->is_replica || object->frozen ||
-      !object->core->alive || object->moving || draining_ ||
-      object->lease_recall.has_value() || object->lease_mutators_pending > 0 ||
-      reader == station()) {
+  if (!config_.lease_reads || !object->core->alive || object->moving ||
+      draining_ || object->lease_recall.has_value() ||
+      object->lease_mutators_pending > 0 || reader == station()) {
     return 0;
   }
   SimTime now = sim().now();
@@ -1361,8 +1333,14 @@ uint64_t NodeKernel::MaybeGrantLease(const std::shared_ptr<ActiveObject>& object
     counters_.lease_renewals->Increment();
     return static_cast<uint64_t>(it->second.expiry);
   }
-  uint64_t seq = ++object->lease_seq;
+  uint64_t seq = SendLeaseGrant(object, reader, expiry);
   object->lease_holders[reader] = {expiry, seq};
+  return static_cast<uint64_t>(expiry);
+}
+
+uint64_t NodeKernel::SendLeaseGrant(const std::shared_ptr<ActiveObject>& object,
+                                    StationId reader, SimTime expiry) {
+  uint64_t seq = ++object->lease_seq;
   counters_.lease_grants->Increment();
   LeaseGrantMsg grant;
   grant.name = object->name;
@@ -1378,7 +1356,7 @@ uint64_t NodeKernel::MaybeGrantLease(const std::shared_ptr<ActiveObject>& object
                      transport_->SendReliable(reader, std::move(encoded));
                    }
                  });
-  return static_cast<uint64_t>(expiry);
+  return seq;
 }
 
 bool NodeKernel::LeaseWriteBlocked(const std::shared_ptr<ActiveObject>& object) {
@@ -1891,9 +1869,6 @@ Task<Status> NodeKernel::ReadCheckpointChain(const ObjectName& name,
 }
 
 void NodeKernel::StartBehaviors(const std::shared_ptr<ActiveObject>& object) {
-  if (object->is_replica) {
-    return;
-  }
   std::erase_if(behaviors_, [](const Task<void>& task) { return task.done(); });
   for (const auto& [behavior_name, body] : object->type->behaviors()) {
     Task<void> task = RunBehavior(object, behavior_name, body);
@@ -2187,9 +2162,6 @@ void NodeKernel::CrashObject(const std::shared_ptr<ActiveObject>& object,
     active_.erase(it);
     UpdateActiveGauge();
   }
-  if (auto it = replicas_.find(name); it != replicas_.end() && it->second == object) {
-    replicas_.erase(it);
-  }
 }
 
 void NodeKernel::DestroyObject(const std::shared_ptr<ActiveObject>& object) {
@@ -2334,7 +2306,7 @@ DetachedTask NodeKernel::RunMove(std::shared_ptr<ActiveObject> object,
   // (reply_cache_ is id-ordered, so the carried list is deterministic.)
   for (const auto& [id, cached] : reply_cache_) {
     if (cached.object == object->name) {
-      msg.cached_replies.push_back({id, cached.result, cached.frozen});
+      msg.cached_replies.push_back({id, cached.result});
     }
   }
   Bytes encoded = msg.Encode();
@@ -2415,8 +2387,7 @@ void NodeKernel::HandleMoveTransfer(StationId src, MoveTransferMsg msg) {
   // Install the carried at-most-once replies before any retry can land here.
   for (const auto& carried : msg.cached_replies) {
     if (reply_cache_.count(carried.invocation_id) == 0) {
-      CacheReply(carried.invocation_id, msg.name, carried.result,
-                 carried.frozen);
+      CacheReply(carried.invocation_id, msg.name, carried.result);
     }
   }
 
@@ -2521,69 +2492,6 @@ void NodeKernel::HandleMoveAck(const MoveAckMsg& msg) {
 }
 
 // ---------------------------------------------------------------------------
-// Frozen-object replication
-// ---------------------------------------------------------------------------
-
-void NodeKernel::MaybeFetchReplica(const ObjectName& name, StationId host,
-                                   const SpanContext& parent) {
-  for (const auto& [request_id, pending_name] : pending_replica_fetches_) {
-    if (pending_name == name) {
-      return;  // fetch already under way
-    }
-  }
-  uint64_t request_id = next_request_id_++;
-  pending_replica_fetches_[request_id] = name;
-  counters_.replica_fetches->Increment();
-  ReplicaFetchMsg msg;
-  msg.request_id = request_id;
-  msg.reply_to = station();
-  msg.name = name;
-  // Context only: the fetch is a background prefetch whose triggering
-  // invocation has already completed, so no span is opened for it (the
-  // parent trace may finalize before the fetch resolves).
-  msg.span = parent;
-  transport_->SendReliable(host, msg.Encode());
-}
-
-void NodeKernel::HandleReplicaFetch(StationId src, const ReplicaFetchMsg& msg) {
-  ReplicaReplyMsg reply;
-  reply.request_id = msg.request_id;
-  reply.name = msg.name;
-  auto it = active_.find(msg.name);
-  if (it != active_.end() && it->second->frozen && !it->second->is_replica) {
-    reply.ok = true;
-    reply.type_name = it->second->type->name();
-    reply.representation = it->second->core->rep;
-  } else {
-    reply.ok = false;
-  }
-  transport_->SendReliable(msg.reply_to, reply.Encode());
-}
-
-void NodeKernel::HandleReplicaReply(StationId src, ReplicaReplyMsg msg) {
-  auto it = pending_replica_fetches_.find(msg.request_id);
-  if (it == pending_replica_fetches_.end()) {
-    return;
-  }
-  pending_replica_fetches_.erase(it);
-  if (!msg.ok || replicas_.count(msg.name) > 0 || active_.count(msg.name) > 0) {
-    return;
-  }
-  std::shared_ptr<TypeManager> type = system_.FindType(msg.type_name);
-  if (type == nullptr) {
-    return;
-  }
-  auto replica = std::make_shared<ActiveObject>(type);
-  replica->name = msg.name;
-  replica->core = std::make_shared<ObjectCore>();
-  replica->core->name = msg.name;
-  replica->core->rep = std::move(msg.representation);
-  replica->frozen = true;
-  replica->is_replica = true;
-  replicas_[msg.name] = replica;
-}
-
-// ---------------------------------------------------------------------------
 // Node failure / restart
 // ---------------------------------------------------------------------------
 
@@ -2601,8 +2509,6 @@ void NodeKernel::FailNode() {
   // Volatile state dies. (The stable store, by definition, survives.)
   auto active = std::move(active_);
   active_.clear();
-  auto replicas = std::move(replicas_);
-  replicas_.clear();
   for (auto& [name, object] : active) {
     object->core->Fail(UnavailableError("node failed"));
     // Open recalls die with the home: cancel the backstop, close the kLease
@@ -2619,9 +2525,6 @@ void NodeKernel::FailNode() {
       // write_queue replies die silently: the invokers' attempt timers fire.
     }
     object->lease_holders.clear();
-  }
-  for (auto& [name, object] : replicas) {
-    object->core->Fail(UnavailableError("node failed"));
   }
   // Client-side leases are volatile; holders that crash simply stop serving,
   // and the home's recall backstop covers any release they now fail to send.
@@ -2674,7 +2577,6 @@ void NodeKernel::FailNode() {
     EndSpan(move.span, "node_failed");
     move.promise.Set(UnavailableError("node failed"));
   }
-  pending_replica_fetches_.clear();
   requests_in_progress_.clear();
   reply_cache_.clear();
   reply_cache_order_.clear();
@@ -2731,9 +2633,7 @@ std::vector<ObjectName> NodeKernel::ActiveObjects() const {
   std::vector<ObjectName> names;
   names.reserve(active_.size());
   for (const auto& [name, object] : active_) {
-    if (!object->is_replica) {
-      names.push_back(name);
-    }
+    names.push_back(name);
   }
   return names;  // active_ is ordered, so this is sorted
 }
@@ -2742,7 +2642,7 @@ std::vector<ObjectName> NodeKernel::ActiveObjectsWithPolicySite(
     StationId site) const {
   std::vector<ObjectName> names;
   for (const auto& [name, object] : active_) {
-    if (object->is_replica || !object->core->alive) {
+    if (!object->core->alive) {
       continue;
     }
     const CheckpointPolicy& p = object->policy;

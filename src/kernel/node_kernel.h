@@ -58,9 +58,6 @@ struct KernelConfig {
   // knob, gathered in one struct (builder: WithLocation).
   LocateConfig locate;
 
-  // Frozen-object replication (section 4.3).
-  bool cache_frozen_replicas = true;
-
   // At-most-once server-side reply cache.
   size_t reply_cache_capacity = 4096;
 
@@ -178,16 +175,16 @@ class NodeKernel {
   void set_draining(bool draining) { draining_ = draining; }
   bool draining() const { return draining_; }
 
-  // True when departure would lose nothing volatile: no active objects (lease
-  // replicas excepted — their state is reconstructible and recalls backstop
-  // by expiry), no activations, and no in-flight client/move/ack protocol
+  // True when departure would lose nothing volatile: no active objects (leased
+  // copies excepted — their state is reconstructible, and recalls backstop by
+  // expiry), no activations, and no in-flight client/move/ack protocol
   // entries originated here.
   bool DrainIdle() const;
 
-  // Names of non-replica active objects (sorted; rebalancer evacuation set).
+  // Names of active objects (sorted; rebalancer evacuation set).
   std::vector<ObjectName> ActiveObjects() const;
-  // Names of active non-replica objects whose checkpoint policy writes to
-  // station `site` (primary or mirror): the resite set when `site` drains.
+  // Names of live active objects whose checkpoint policy writes to station
+  // `site` (primary or mirror): the resite set when `site` drains.
   std::vector<ObjectName> ActiveObjectsWithPolicySite(StationId site) const;
   // Names behind base checkpoint records in this node's store (sorted). A
   // drain that must evacuate passively-stored state is complete only once
@@ -212,7 +209,8 @@ class NodeKernel {
   bool IsActivating(const ObjectName& name) const {
     return activating_.count(name) > 0;
   }
-  bool HasReplica(const ObjectName& name) const { return replicas_.count(name) > 0; }
+  // A leased read-only copy (DESIGN.md §15), a frozen object's included.
+  bool HasReplica(const ObjectName& name) const { return lease_cache_.count(name) > 0; }
   bool HasCheckpoint(const ObjectName& name) const;
   // Peer-health introspection (tests, policy drivers): whether `peer` is
   // currently suspect, and its consecutive-failure count (0 when healthy —
@@ -398,8 +396,6 @@ class NodeKernel {
   void HandleCheckpointPut(StationId src, CheckpointPutMsg msg);
   void HandleCheckpointAck(const CheckpointAckMsg& msg);
   void HandleCheckpointErase(const CheckpointEraseMsg& msg);
-  void HandleReplicaFetch(StationId src, const ReplicaFetchMsg& msg);
-  void HandleReplicaReply(StationId src, ReplicaReplyMsg msg);
   void HandleLeaseGrant(StationId src, LeaseGrantMsg msg);
   void HandleLeaseRecall(StationId src, const LeaseRecallMsg& msg);
   void HandleLeaseRelease(StationId src, const LeaseReleaseMsg& msg);
@@ -408,13 +404,19 @@ class NodeKernel {
   // Home side. MaybeGrantLease runs as a read-class invocation from station
   // `reader` completes: it grants a fresh lease (pushing a LeaseGrant with a
   // representation snapshot) or renews an existing one, and returns the
-  // absolute expiry to piggyback on the reply (0 = no lease). StartLeaseRecall
+  // absolute expiry to piggyback on the reply (0 = no lease). A frozen object
+  // gets a grant that never expires and records no holder: nothing can
+  // invalidate its snapshot, so nothing is ever recalled. StartLeaseRecall
   // opens the recall window for a write-class dispatch `d` that hit live
   // leases (or the reincarnation quiesce); FinishLeaseRecall closes it —
   // normally on the last release, or from the backstop timer at the maximum
   // outstanding expiry when releases were lost.
   uint64_t MaybeGrantLease(const std::shared_ptr<ActiveObject>& object,
                            StationId reader);
+  // Pushes a LeaseGrant of `object`'s current representation to `reader`
+  // under the next lease version, and returns that version's seq.
+  uint64_t SendLeaseGrant(const std::shared_ptr<ActiveObject>& object,
+                          StationId reader, SimTime expiry);
   // True when a write-class dispatch must wait: live leases, a recall already
   // open, or the post-reincarnation quiesce window.
   bool LeaseWriteBlocked(const std::shared_ptr<ActiveObject>& object);
@@ -440,11 +442,11 @@ class NodeKernel {
                              const OperationSpec* op);
   void FinishDispatch(const std::shared_ptr<ActiveObject>& object, size_t class_index);
   void PumpQueues(const std::shared_ptr<ActiveObject>& object);
-  void ReplyTo(const PendingDispatch& d, InvokeResult result, bool target_frozen,
+  void ReplyTo(const PendingDispatch& d, InvokeResult result,
                uint64_t lease_renew_expiry = 0);
   void RefuseDispatch(const PendingDispatch& d, Status status);
   void CacheReply(uint64_t invocation_id, const ObjectName& object,
-                  const InvokeResult& result, bool frozen);
+                  const InvokeResult& result);
   SimDuration SerializeCost(size_t bytes) const;
 
   // --- Activation (reincarnation) -------------------------------------------------
@@ -503,8 +505,6 @@ class NodeKernel {
   DetachedTask RunMove(std::shared_ptr<ActiveObject> object, StationId destination,
                        Promise<Status> done, SpanContext parent,
                        int drain_threshold);
-  void MaybeFetchReplica(const ObjectName& name, StationId host,
-                         const SpanContext& parent = {});
 
   static std::string CheckpointKey(const ObjectName& name) {
     return "ckpt/" + name.ToKey();
@@ -553,8 +553,6 @@ class NodeKernel {
     Counter* crashes = nullptr;
     Counter* moves_out = nullptr;
     Counter* moves_in = nullptr;
-    Counter* replica_fetches = nullptr;
-    Counter* replica_reads = nullptr;
     Counter* duplicate_requests = nullptr;
     Counter* lease_grants = nullptr;
     Counter* lease_recalls = nullptr;
@@ -602,7 +600,6 @@ class NodeKernel {
   // active_ stays ordered: FailNode's iteration completes promises, so its
   // order is observable in the execution trace (determinism_test).
   std::map<ObjectName, std::shared_ptr<ActiveObject>> active_;
-  std::map<ObjectName, std::shared_ptr<ActiveObject>> replicas_;
   // Behavior coroutines, owned so a frame still suspended when the kernel is
   // torn down is destroyed instead of leaked (a behavior parked on a sleep or
   // checkpoint future holds its object alive). A behavior that observes
@@ -627,7 +624,6 @@ class NodeKernel {
   std::map<ObjectName, uint64_t> locate_by_name_;
   std::map<uint64_t, PendingAck> pending_acks_;
   std::map<uint64_t, PendingMove> pending_moves_;
-  std::map<uint64_t, ObjectName> pending_replica_fetches_;
 
   // Reincarnations in progress: invocations that arrived for the passive
   // object wait here until the reincarnation handler finishes.
@@ -639,7 +635,8 @@ class NodeKernel {
   // One entry per object this node holds a read lease on. `replica` is a
   // frozen local copy built from the grant's representation snapshot;
   // read-class invocations dispatch into it with zero network traffic until
-  // `expiry`. Ordered map: FailNode teardown iterates it.
+  // `expiry` (kSimTimeNever for a frozen object's copy). Ordered map: FailNode
+  // teardown iterates it.
   struct LeaseEntry {
     std::shared_ptr<ActiveObject> replica;
     SimTime expiry = 0;
@@ -659,7 +656,6 @@ class NodeKernel {
   // (a retry that lands post-move must re-reply, not re-execute).
   struct CachedReply {
     InvokeResult result;
-    bool frozen = false;
     ObjectName object;
   };
   std::set<uint64_t> requests_in_progress_;

@@ -89,7 +89,8 @@ struct ActiveObject {
   CheckpointPolicy policy;
 
   bool frozen = false;
-  // True for a cached copy of a frozen object; serves read-only operations.
+  // True for a leased read-only copy (DESIGN.md §15), which lives in the
+  // client's lease cache and never in active_; serves read-only operations.
   bool is_replica = false;
   // Reincarnation handler still running; arrivals wait in hold_queue.
   bool activating = false;

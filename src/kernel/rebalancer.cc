@@ -293,8 +293,7 @@ bool Rebalancer::StartMove(size_t from_index, const ObjectName& name,
   }
   NodeKernel& node = system_.node(from_index);
   auto object = node.FindActive(name);
-  if (!object || object->is_replica || object->moving || object->activating ||
-      !object->core->alive) {
+  if (!object || object->moving || object->activating || !object->core->alive) {
     return false;
   }
   moves_in_flight_++;

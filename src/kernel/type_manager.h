@@ -54,7 +54,8 @@ struct OperationSpec {
   Rights required_rights = Rights(Rights::kInvoke);
   // Index into the type's invocation classes.
   size_t invocation_class = 0;
-  // Read-only operations may be served by cached replicas of frozen objects.
+  // Read-only operations may be served by leased copies (DESIGN.md §15),
+  // including a frozen object's never-expiring one.
   bool read_only = false;
   // Whether the operation may modify the representation. Frozen objects
   // refuse mutating operations but still accept kernel housekeeping

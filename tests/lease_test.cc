@@ -22,10 +22,24 @@ SystemConfig LeaseConfig(uint64_t seed = 1) {
   return config;
 }
 
+// The test counter plus "freeze". Like any write-class operation, freezing
+// recalls every outstanding lease before it runs.
+std::shared_ptr<TypeManager> MakeFreezableCounterType() {
+  auto type = MakeCounterType();
+  type->AddOperation(OperationSpec{
+      .name = "freeze",
+      .handler = [](InvokeContext& ctx) -> Task<InvokeResult> {
+        co_return InvokeResult{ctx.Freeze(), {}};
+      },
+      .required_rights = Rights(Rights::kInvoke | Rights::kOwner),
+  });
+  return type;
+}
+
 class LeaseFixture : public ::testing::Test {
  protected:
   LeaseFixture() : system_(LeaseConfig()) {
-    system_.RegisterType(MakeCounterType());
+    system_.RegisterType(MakeFreezableCounterType());
     system_.AddNodes(5);
   }
 
@@ -191,6 +205,77 @@ TEST_F(LeaseFixture, RebornHomeQuiescesWritesForAFullLeaseTerm) {
       *cap, "read", {}, InvokeOptions::WithTimeout(Seconds(10))));
   ASSERT_TRUE(result.ok()) << result.status;
   EXPECT_EQ(result.results.U64At(0).value(), 4u);
+}
+
+TEST_F(LeaseFixture, FreezingRecallsTheLeaseAndTheNextGrantNeverExpires) {
+  auto cap = system_.node(0).CreateObject("counter", CounterRep(4));
+  ASSERT_TRUE(cap.ok());
+  ASSERT_TRUE(Call(system_.node(1), *cap, "read").ok());
+  system_.RunFor(Milliseconds(5));
+  ASSERT_TRUE(system_.node(1).HasReplica(cap->name()));
+
+  // Freezing is a write: the reader's lease is recalled before it runs.
+  uint64_t recalls_before =
+      system_.node(0).metrics().CounterValue("kernel.lease.recalls");
+  ASSERT_TRUE(Call(system_.node(0), *cap, "freeze").ok());
+  EXPECT_GT(system_.node(0).metrics().CounterValue("kernel.lease.recalls"),
+            recalls_before);
+  EXPECT_FALSE(system_.node(1).HasReplica(cap->name()));
+
+  // The next read brings back a copy of the frozen state that never expires.
+  uint64_t grants_before =
+      system_.node(0).metrics().CounterValue("kernel.lease.grants");
+  InvokeResult result = Call(system_.node(1), *cap, "read");
+  ASSERT_TRUE(result.ok()) << result.status;
+  EXPECT_EQ(result.results.U64At(0).value(), 4u);
+  system_.RunFor(Milliseconds(5));
+  EXPECT_EQ(system_.node(0).metrics().CounterValue("kernel.lease.grants"),
+            grants_before + 1);
+  EXPECT_TRUE(system_.node(1).HasReplica(cap->name()));
+
+  // Ten lease terms later every read is still local: no renewal, no remote
+  // invocation.
+  system_.RunFor(10 * system_.config().kernel.lease_duration);
+  uint64_t renewals_before =
+      system_.node(0).metrics().CounterValue("kernel.lease.renewals");
+  uint64_t remote_before =
+      system_.node(1).metrics().CounterValue("kernel.invoke.remote");
+  uint64_t local_before =
+      system_.node(1).metrics().CounterValue("kernel.lease.local_reads");
+  for (int i = 0; i < 3; i++) {
+    result = Call(system_.node(1), *cap, "read");
+    ASSERT_TRUE(result.ok()) << result.status;
+    EXPECT_EQ(result.results.U64At(0).value(), 4u);
+  }
+  EXPECT_EQ(system_.node(0).metrics().CounterValue("kernel.lease.renewals"),
+            renewals_before);
+  EXPECT_EQ(system_.node(1).metrics().CounterValue("kernel.invoke.remote"),
+            remote_before);
+  EXPECT_EQ(system_.node(1).metrics().CounterValue("kernel.lease.local_reads"),
+            local_before + 3);
+
+  // The frozen grant recorded no holder, so a move opens no recall, and the
+  // reader keeps reading its copy.
+  auto object = system_.node(0).FindActive(cap->name());
+  ASSERT_NE(object, nullptr);
+  recalls_before =
+      system_.node(0).metrics().CounterValue("kernel.lease.recalls");
+  Status moved = system_.Await(
+      system_.node(0).MoveObject(object, system_.node(2).station()));
+  ASSERT_TRUE(moved.ok()) << moved;
+  EXPECT_EQ(system_.node(0).metrics().CounterValue("kernel.lease.recalls"),
+            recalls_before);
+  system_.RunFor(Milliseconds(10));
+  EXPECT_TRUE(system_.node(2).IsActive(cap->name()));
+  local_before =
+      system_.node(1).metrics().CounterValue("kernel.lease.local_reads");
+  result = Call(system_.node(1), *cap, "read");
+  ASSERT_TRUE(result.ok()) << result.status;
+  EXPECT_EQ(result.results.U64At(0).value(), 4u);
+  EXPECT_EQ(system_.node(1).metrics().CounterValue("kernel.invoke.remote"),
+            remote_before);
+  EXPECT_EQ(system_.node(1).metrics().CounterValue("kernel.lease.local_reads"),
+            local_before + 1);
 }
 
 // Chaos case: the recall is lost to a wire partition. The writer must block

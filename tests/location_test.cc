@@ -218,25 +218,25 @@ TEST_F(LocationFixture, FrozenObjectIsCachedAndServedLocally) {
   Call(system_.node(0), *cap, "increment", InvokeArgs{}.AddU64(9));
   ASSERT_TRUE(Call(system_.node(0), *cap, "freeze").ok());
 
-  // First remote read announces "frozen"; the invoking kernel caches a
-  // replica in the background.
+  // The first remote read draws a lease grant that never expires: the home
+  // pushes a copy of the frozen state to the invoking kernel.
   InvokeResult result = Call(system_.node(3), *cap, "read");
   ASSERT_TRUE(result.ok());
   system_.RunFor(Milliseconds(50));
   EXPECT_TRUE(system_.node(3).HasReplica(cap->name()));
 
-  // Subsequent reads are served from the local replica: no remote traffic.
+  // Subsequent reads are served from the local copy: no remote traffic.
   uint64_t remote_before =
       system_.node(3).metrics().CounterValue("kernel.invoke.remote");
-  uint64_t replica_reads_before =
-      system_.node(3).metrics().CounterValue("kernel.replica.reads");
+  uint64_t local_reads_before =
+      system_.node(3).metrics().CounterValue("kernel.lease.local_reads");
   result = Call(system_.node(3), *cap, "read");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.results.U64At(0).value(), 9u);
   EXPECT_EQ(system_.node(3).metrics().CounterValue("kernel.invoke.remote"),
             remote_before);
-  EXPECT_GT(system_.node(3).metrics().CounterValue("kernel.replica.reads"),
-            replica_reads_before);
+  EXPECT_GT(system_.node(3).metrics().CounterValue("kernel.lease.local_reads"),
+            local_reads_before);
 }
 
 TEST_F(LocationFixture, ReplicaDoesNotServeMutations) {
@@ -248,7 +248,7 @@ TEST_F(LocationFixture, ReplicaDoesNotServeMutations) {
   ASSERT_TRUE(system_.node(3).HasReplica(cap->name()));
 
   // A mutating operation is routed to the (frozen) authoritative copy and
-  // refused there, not silently applied to the replica.
+  // refused there, not silently applied to the local copy.
   InvokeResult result = Call(system_.node(3), *cap, "increment");
   EXPECT_EQ(result.status.code(), StatusCode::kFailedPrecondition);
 }

@@ -414,18 +414,15 @@ TEST(Membership, MoveTransferCachedRepliesRoundTrip) {
   msg.source = 7;
   msg.name = ObjectName(1, 2, 3);
   msg.type_name = "counter";
-  msg.cached_replies.push_back(
-      {11, InvokeResult::Ok(InvokeArgs{}.AddU64(5)), false});
-  msg.cached_replies.push_back({12, InvokeResult::Ok(), true});
+  msg.cached_replies.push_back({11, InvokeResult::Ok(InvokeArgs{}.AddU64(5))});
+  msg.cached_replies.push_back({12, InvokeResult::Ok()});
 
   auto decoded = MoveTransferMsg::Decode(msg.Encode());
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   ASSERT_EQ(decoded->cached_replies.size(), 2u);
   EXPECT_EQ(decoded->cached_replies[0].invocation_id, 11u);
   EXPECT_EQ(decoded->cached_replies[0].result.results.U64At(0).value_or(0), 5u);
-  EXPECT_FALSE(decoded->cached_replies[0].frozen);
   EXPECT_EQ(decoded->cached_replies[1].invocation_id, 12u);
-  EXPECT_TRUE(decoded->cached_replies[1].frozen);
 }
 
 // ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ TEST(MessageTest, InvokeReplyRoundTrip) {
   msg.invocation_id = 42;
   msg.result.status = TimeoutError("too slow");
   msg.result.results.AddU64(7);
-  msg.target_frozen = true;
 
   Bytes encoded = msg.Encode();
   auto decoded = InvokeReplyMsg::Decode(encoded);
@@ -63,7 +62,6 @@ TEST(MessageTest, InvokeReplyRoundTrip) {
   EXPECT_EQ(decoded->result.status.code(), StatusCode::kTimeout);
   EXPECT_EQ(decoded->result.status.message(), "too slow");
   EXPECT_EQ(decoded->result.results.U64At(0).value(), 7u);
-  EXPECT_TRUE(decoded->target_frozen);
   ExpectPrefixRejection<InvokeReplyMsg>(encoded);
 }
 
@@ -223,31 +221,68 @@ TEST(MessageTest, CheckpointMessagesRoundTrip) {
   EXPECT_EQ(decoded_erase->name, put.name);
 }
 
-TEST(MessageTest, ReplicaMessagesRoundTrip) {
-  ReplicaFetchMsg fetch;
-  fetch.request_id = 21;
-  fetch.reply_to = 0;
-  fetch.name = ObjectName(7, 8, 9);
-  auto decoded_fetch = ReplicaFetchMsg::Decode(fetch.Encode());
-  ASSERT_TRUE(decoded_fetch.ok());
-  EXPECT_EQ(decoded_fetch->name, fetch.name);
+TEST(MessageTest, LeaseMessagesRoundTrip) {
+  LeaseGrantMsg grant;
+  grant.name = ObjectName(7, 8, 9);
+  grant.type_name = "std.data";
+  grant.representation = SampleRepresentation();
+  // A frozen object's grant: it never expires.
+  grant.expiry = static_cast<uint64_t>(kSimTimeNever);
+  grant.epoch = 0x5566778899ULL;
+  grant.seq = 12;
+  Bytes grant_encoded = grant.Encode();
+  EXPECT_EQ(PeekMessageKind(grant_encoded).value(), MessageKind::kLeaseGrant);
+  auto decoded_grant = LeaseGrantMsg::Decode(grant_encoded);
+  ASSERT_TRUE(decoded_grant.ok());
+  EXPECT_EQ(decoded_grant->name, grant.name);
+  EXPECT_EQ(decoded_grant->type_name, "std.data");
+  EXPECT_EQ(decoded_grant->representation, grant.representation);
+  EXPECT_EQ(decoded_grant->expiry, grant.expiry);
+  EXPECT_EQ(decoded_grant->epoch, grant.epoch);
+  EXPECT_EQ(decoded_grant->seq, 12u);
+  ExpectPrefixRejection<LeaseGrantMsg>(grant_encoded);
 
-  ReplicaReplyMsg reply;
-  reply.request_id = 21;
-  reply.name = fetch.name;
-  reply.ok = true;
-  reply.type_name = "std.data";
-  reply.representation = SampleRepresentation();
-  Bytes encoded = reply.Encode();
-  auto decoded_reply = ReplicaReplyMsg::Decode(encoded);
-  ASSERT_TRUE(decoded_reply.ok());
-  EXPECT_EQ(decoded_reply->representation, reply.representation);
-  ExpectPrefixRejection<ReplicaReplyMsg>(encoded);
+  LeaseRecallMsg recall;
+  recall.name = grant.name;
+  recall.epoch = grant.epoch;
+  recall.seq = 13;
+  Bytes recall_encoded = recall.Encode();
+  EXPECT_EQ(PeekMessageKind(recall_encoded).value(), MessageKind::kLeaseRecall);
+  auto decoded_recall = LeaseRecallMsg::Decode(recall_encoded);
+  ASSERT_TRUE(decoded_recall.ok());
+  EXPECT_EQ(decoded_recall->name, grant.name);
+  EXPECT_EQ(decoded_recall->epoch, grant.epoch);
+  EXPECT_EQ(decoded_recall->seq, 13u);
+  ExpectPrefixRejection<LeaseRecallMsg>(recall_encoded);
+
+  LeaseReleaseMsg release;
+  release.name = grant.name;
+  release.holder = 6;
+  release.epoch = grant.epoch;
+  release.seq = 13;
+  Bytes release_encoded = release.Encode();
+  EXPECT_EQ(PeekMessageKind(release_encoded).value(),
+            MessageKind::kLeaseRelease);
+  auto decoded_release = LeaseReleaseMsg::Decode(release_encoded);
+  ASSERT_TRUE(decoded_release.ok());
+  EXPECT_EQ(decoded_release->name, grant.name);
+  EXPECT_EQ(decoded_release->holder, 6u);
+  EXPECT_EQ(decoded_release->epoch, grant.epoch);
+  EXPECT_EQ(decoded_release->seq, 13u);
+  ExpectPrefixRejection<LeaseReleaseMsg>(release_encoded);
+
+  // Each lease decoder refuses the other two kinds.
+  EXPECT_FALSE(LeaseGrantMsg::Decode(recall_encoded).ok());
+  EXPECT_FALSE(LeaseRecallMsg::Decode(release_encoded).ok());
+  EXPECT_FALSE(LeaseReleaseMsg::Decode(grant_encoded).ok());
 }
 
 TEST(MessageTest, PeekRejectsGarbage) {
   EXPECT_FALSE(PeekMessageKind(Bytes{}).ok());
   EXPECT_FALSE(PeekMessageKind(Bytes{0x00}).ok());
+  // Retired tags name no kind.
+  EXPECT_FALSE(PeekMessageKind(Bytes{11}).ok());
+  EXPECT_FALSE(PeekMessageKind(Bytes{12}).ok());
   EXPECT_FALSE(PeekMessageKind(Bytes{0xee, 0x01}).ok());
 }
 
