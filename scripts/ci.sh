@@ -4,7 +4,9 @@
 #   1. Configure + build the default (RelWithDebInfo) tree and run the whole
 #      test suite (the `check` target).
 #   2. Configure + build an ASan+UBSan tree at build-asan and run the suite
-#      there too (catches lifetime bugs the fast build hides). This tree
+#      there too (catches lifetime bugs the fast build hides). UBSan runs
+#      with -fno-sanitize-recover, so a report fails the test instead of
+#      printing and exiting 0, and libstdc++'s assertions are on. This tree
 #      also treats compiler warnings as errors, so a new warning fails CI.
 #   3. Smoke-run the storage benchmark (--quick) so the perf harness itself
 #      stays green; the JSON export lands in the asan build dir and is
@@ -58,7 +60,7 @@ cmake --build "$repo_root/build" --target check
 echo "== ASan+UBSan build + tests =="
 cmake -B "$repo_root/build-asan" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=Debug \
-  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer" \
+  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS -fno-omit-frame-pointer" \
   -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build "$repo_root/build-asan" -j "$jobs"
 (cd "$repo_root/build-asan" && ctest --output-on-failure)

@@ -37,6 +37,8 @@ class Capability {
     return name_ == other.name_ && rights_ == other.rights_;
   }
 
+  // The name, then the rights bits as a u32.
+  static constexpr size_t kEncodedSize = ObjectName::kEncodedSize + 4;
   void Encode(BufferWriter& writer) const;
   static StatusOr<Capability> Decode(BufferReader& reader);
 

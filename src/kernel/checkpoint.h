@@ -7,6 +7,7 @@
 #define EDEN_SRC_KERNEL_CHECKPOINT_H_
 
 #include <cstdint>
+#include <string>
 
 #include "src/common/bytes.h"
 #include "src/common/status.h"
@@ -39,6 +40,7 @@ struct CheckpointPolicy {
   ReliabilityLevel level = ReliabilityLevel::kLocal;
   StationId mirror_site = 0;  // meaningful only for kMirrored
 
+  static constexpr size_t kEncodedSize = 9;
   void Encode(BufferWriter& writer) const {
     writer.WriteU32(primary_site);
     writer.WriteU8(static_cast<uint8_t>(level));
@@ -60,6 +62,23 @@ struct CheckpointPolicy {
     policy.level = static_cast<ReliabilityLevel>(level);
     EDEN_ASSIGN_OR_RETURN(policy.mirror_site, reader.ReadU32());
     return policy;
+  }
+};
+
+// The leading fields of every checkpoint record, in the field-list codec of
+// src/kernel/wire.h. The body follows: the full Representation for a base
+// record, Representation::EncodeDelta's segments for a delta. The restore
+// path treats a `kind` other than the one it expects, or a delta whose
+// `type_name` differs from its base's, as corruption.
+struct CheckpointRecordHeader {
+  CheckpointRecordKind kind = CheckpointRecordKind::kBase;
+  std::string type_name;
+  CheckpointPolicy policy;
+  bool frozen = false;
+
+  template <typename Self, typename Visit>
+  static auto Fields(Self& h, Visit&& visit) {
+    return visit(h.kind, h.type_name, h.policy, h.frozen);
   }
 };
 

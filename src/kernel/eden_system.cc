@@ -107,7 +107,10 @@ NodeKernel& EdenSystem::AddNodeWithConfig(const std::string& name,
     size_t count = engine_->shard_count();
     s = shard >= 0 ? static_cast<uint32_t>(shard)
                    : next_shard_rr_++ % static_cast<uint32_t>(count);
-    assert(s < count && "WithShard index out of range");
+    if (s >= count) {
+      FatalError("WithShard: shard index " + std::to_string(s) +
+                 " is out of range for " + std::to_string(count) + " shards");
+    }
     shard_sim_ptr = &shard_sim(s);
   }
   nodes_.push_back(std::make_unique<NodeKernel>(*this, name, kernel, disk,

@@ -48,7 +48,7 @@ size_t InvokeArgs::TotalBytes() const {
   for (const Bytes& item : data) {
     total += item.size();
   }
-  total += caps.size() * 20;
+  total += caps.size() * Capability::kEncodedSize;
   return total;
 }
 

@@ -1,10 +1,14 @@
-// Kernel-to-kernel wire messages. Each message is encoded with a one-byte
-// kind tag followed by its fields; everything rides the reliable (or, for
-// location broadcasts, best-effort) transport.
+// Kernel-to-kernel wire messages. A message is a one-byte kind tag followed
+// by its fields. Each message type states its layout once, as a field list in
+// wire order (src/kernel/wire.h), and its Encode, Decode and the encoder's
+// size bound all derive from that list. VisitMessageType is the one map from
+// kind tag to type. Everything rides the reliable (or, for location
+// broadcasts, best-effort) transport.
 #ifndef EDEN_SRC_KERNEL_MESSAGE_H_
 #define EDEN_SRC_KERNEL_MESSAGE_H_
 
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -12,6 +16,7 @@
 #include "src/kernel/checkpoint.h"
 #include "src/kernel/invoke.h"
 #include "src/kernel/representation.h"
+#include "src/kernel/wire.h"
 #include "src/net/lan.h"
 #include "src/trace/span.h"
 
@@ -52,13 +57,37 @@ enum class MessageKind : uint8_t {
   kLeaseRelease = 19,
 };
 
-// Reads the kind tag without consuming the rest; a tag that names no
-// MessageKind (retired ones included) is an error.
-StatusOr<MessageKind> PeekMessageKind(BytesView message);
+// The codec every message type inherits: its kind, and an Encode and Decode
+// derived from the type's field list. The encoder sizes its buffer from the
+// same list, so an encoded message takes one allocation.
+template <typename Msg, MessageKind kTag>
+struct WireMessage {
+  static constexpr MessageKind kKind = kTag;
 
-constexpr StationId kNoStationRequest = 0xfffffffeu;
+  Bytes Encode() const {
+    const Msg& msg = static_cast<const Msg&>(*this);
+    BufferWriter writer(1 + FieldsSizeBound(msg));
+    writer.WriteU8(static_cast<uint8_t>(kTag));
+    WriteFields(writer, msg);
+    return writer.Take();
+  }
 
-struct InvokeRequestMsg {
+  // Rejects another kind's tag, truncation, and anything a field's type
+  // rejects. Trailing bytes are ignored.
+  static StatusOr<Msg> Decode(BytesView message) {
+    BufferReader reader(message);
+    EDEN_ASSIGN_OR_RETURN(uint8_t tag, reader.ReadU8());
+    if (tag != static_cast<uint8_t>(kTag)) {
+      return InvalidArgumentError("unexpected message kind");
+    }
+    Msg msg;
+    EDEN_RETURN_IF_ERROR(ReadFields(reader, msg));
+    return msg;
+  }
+};
+
+struct InvokeRequestMsg
+    : WireMessage<InvokeRequestMsg, MessageKind::kInvokeRequest> {
   uint64_t invocation_id = 0;
   StationId reply_to = 0;
   Capability target;
@@ -73,29 +102,36 @@ struct InvokeRequestMsg {
   // depends on whether a collector is attached.
   SpanContext span;
 
-  Bytes Encode() const;
-  static StatusOr<InvokeRequestMsg> Decode(BytesView message);
+  template <typename Self, typename Visit>
+  static auto Fields(Self& m, Visit&& visit) {
+    return visit(m.invocation_id, m.reply_to, m.target, m.operation, m.args,
+                 List{m.avoid_hosts, 64}, m.span);
+  }
 };
 
-struct InvokeReplyMsg {
+struct InvokeReplyMsg : WireMessage<InvokeReplyMsg, MessageKind::kInvokeReply> {
   uint64_t invocation_id = 0;
   InvokeResult result;
-  // One reserved byte, always zero, follows the result on the wire. Dropping
-  // it would shrink every reply by a byte, which shifts the timing of every
-  // seeded run and so every pinned determinism digest.
   // Lease renewal piggyback (DESIGN.md §15): when nonzero, the home extends
   // the invoker's read lease on the target to this absolute expiry. Encoded
   // fixed-width — always present, zero when leases are off — so message
   // sizes never depend on the lease configuration.
   uint64_t lease_renew_expiry = 0;
 
-  Bytes Encode() const;
-  static StatusOr<InvokeReplyMsg> Decode(BytesView message);
+  // The Reserved byte after the result is always zero. Dropping it would
+  // shrink every reply by a byte, which shifts the timing of every seeded run
+  // and so every pinned determinism digest.
+  template <typename Self, typename Visit>
+  static auto Fields(Self& m, Visit&& visit) {
+    return visit(m.invocation_id, m.result, Reserved{},
+                 m.lease_renew_expiry);
+  }
 };
 
 constexpr StationId kNoStation = 0xfffffffeu;
 
-struct InvokeRedirectMsg {
+struct InvokeRedirectMsg
+    : WireMessage<InvokeRedirectMsg, MessageKind::kInvokeRedirect> {
   uint64_t invocation_id = 0;
   ObjectName name;
   // kNoStation when the sender has no forwarding address.
@@ -106,22 +142,27 @@ struct InvokeRedirectMsg {
   // is dropped rather than followed. 0 = unversioned.
   uint64_t epoch = 0;
 
-  Bytes Encode() const;
-  static StatusOr<InvokeRedirectMsg> Decode(BytesView message);
+  template <typename Self, typename Visit>
+  static auto Fields(Self& m, Visit&& visit) {
+    return visit(m.invocation_id, m.name, m.new_host, m.epoch);
+  }
 };
 
-struct LocateRequestMsg {
+struct LocateRequestMsg
+    : WireMessage<LocateRequestMsg, MessageKind::kLocateRequest> {
   uint64_t query_id = 0;
   StationId reply_to = 0;
   ObjectName name;
   // Causal context of the locate span driving this broadcast (fixed-width).
   SpanContext span;
 
-  Bytes Encode() const;
-  static StatusOr<LocateRequestMsg> Decode(BytesView message);
+  template <typename Self, typename Visit>
+  static auto Fields(Self& m, Visit&& visit) {
+    return visit(m.query_id, m.reply_to, m.name, m.span);
+  }
 };
 
-struct LocateReplyMsg {
+struct LocateReplyMsg : WireMessage<LocateReplyMsg, MessageKind::kLocateReply> {
   uint64_t query_id = 0;
   ObjectName name;
   StationId host = 0;
@@ -133,11 +174,14 @@ struct LocateReplyMsg {
   // after a fallback broadcast.
   uint64_t epoch = 0;
 
-  Bytes Encode() const;
-  static StatusOr<LocateReplyMsg> Decode(BytesView message);
+  template <typename Self, typename Visit>
+  static auto Fields(Self& m, Visit&& visit) {
+    return visit(m.query_id, m.name, m.host, m.active, m.epoch);
+  }
 };
 
-struct MoveTransferMsg {
+struct MoveTransferMsg
+    : WireMessage<MoveTransferMsg, MessageKind::kMoveTransfer> {
   uint64_t transfer_id = 0;
   StationId source = 0;
   ObjectName name;
@@ -149,20 +193,29 @@ struct MoveTransferMsg {
   SpanContext span;
   // The source's at-most-once reply cache entries for this object, carried
   // so a retried request that lands at the new home after the move is
-  // re-replied there instead of re-executed. Each entry is followed on the
-  // wire by the same reserved zero byte as InvokeReplyMsg, for the same
-  // reason.
+  // re-replied there instead of re-executed.
   struct CachedReplyEntry {
     uint64_t invocation_id = 0;
     InvokeResult result;
+
+    // The same always-zero Reserved byte as InvokeReplyMsg's, for the same
+    // reason.
+    template <typename Self, typename Visit>
+    static auto Fields(Self& e, Visit&& visit) {
+      return visit(e.invocation_id, e.result, Reserved{});
+    }
   };
   std::vector<CachedReplyEntry> cached_replies;
 
-  Bytes Encode() const;
-  static StatusOr<MoveTransferMsg> Decode(BytesView message);
+  template <typename Self, typename Visit>
+  static auto Fields(Self& m, Visit&& visit) {
+    return visit(m.transfer_id, m.source, m.name, m.type_name,
+                 m.representation, m.policy, m.frozen, m.span,
+                 List{m.cached_replies, 8192});
+  }
 };
 
-struct MoveAckMsg {
+struct MoveAckMsg : WireMessage<MoveAckMsg, MessageKind::kMoveAck> {
   uint64_t transfer_id = 0;
   ObjectName name;
   bool accepted = false;
@@ -171,11 +224,14 @@ struct MoveAckMsg {
   // clock, which could overtake a later move's epoch and pin a stale hint.
   uint64_t epoch = 0;
 
-  Bytes Encode() const;
-  static StatusOr<MoveAckMsg> Decode(BytesView message);
+  template <typename Self, typename Visit>
+  static auto Fields(Self& m, Visit&& visit) {
+    return visit(m.transfer_id, m.name, m.accepted, m.epoch);
+  }
 };
 
-struct CheckpointPutMsg {
+struct CheckpointPutMsg
+    : WireMessage<CheckpointPutMsg, MessageKind::kCheckpointPut> {
   uint64_t request_id = 0;
   StationId reply_to = 0;
   ObjectName name;
@@ -194,34 +250,46 @@ struct CheckpointPutMsg {
   // checksite's store-write span links across nodes (fixed-width).
   SpanContext span;
 
-  Bytes Encode() const;
-  static StatusOr<CheckpointPutMsg> Decode(BytesView message);
+  template <typename Self, typename Visit>
+  static auto Fields(Self& m, Visit&& visit) {
+    return visit(m.request_id, m.reply_to, m.name, m.record, m.is_mirror,
+                 Varint{m.delta_seq}, m.span);
+  }
 };
 
-struct CheckpointAckMsg {
+struct CheckpointAckMsg
+    : WireMessage<CheckpointAckMsg, MessageKind::kCheckpointAck> {
   uint64_t request_id = 0;
   bool ok = false;
 
-  Bytes Encode() const;
-  static StatusOr<CheckpointAckMsg> Decode(BytesView message);
+  template <typename Self, typename Visit>
+  static auto Fields(Self& m, Visit&& visit) {
+    return visit(m.request_id, m.ok);
+  }
 };
 
-struct CheckpointEraseMsg {
+struct CheckpointEraseMsg
+    : WireMessage<CheckpointEraseMsg, MessageKind::kCheckpointErase> {
   ObjectName name;
 
-  Bytes Encode() const;
-  static StatusOr<CheckpointEraseMsg> Decode(BytesView message);
+  template <typename Self, typename Visit>
+  static auto Fields(Self& m, Visit&& visit) {
+    return visit(m.name);
+  }
 };
 
-struct PingMsg {
-  Bytes Encode() const;
-  static StatusOr<PingMsg> Decode(BytesView message);
+struct PingMsg : WireMessage<PingMsg, MessageKind::kPing> {
+  template <typename Self, typename Visit>
+  static auto Fields(Self&, Visit&& visit) {
+    return visit();
+  }
 };
 
 // Residence publish to a home node (DESIGN.md §13). Sent by the host that
 // acquired the object (create, move-in, reincarnation), by a fallback
 // resolver repairing the directory, or — with `removal` — by the destroyer.
-struct DirectoryUpdateMsg {
+struct DirectoryUpdateMsg
+    : WireMessage<DirectoryUpdateMsg, MessageKind::kDirectoryUpdate> {
   ObjectName name;
   StationId host = kNoStation;
   // Residence-acquisition time at `host`; the home merges by epoch (strictly
@@ -231,11 +299,14 @@ struct DirectoryUpdateMsg {
   // Tombstone: drop the record if its epoch is <= this update's epoch.
   bool removal = false;
 
-  Bytes Encode() const;
-  static StatusOr<DirectoryUpdateMsg> Decode(BytesView message);
+  template <typename Self, typename Visit>
+  static auto Fields(Self& m, Visit&& visit) {
+    return visit(m.name, m.host, m.epoch, m.active, m.removal);
+  }
 };
 
-struct DirectoryLookupMsg {
+struct DirectoryLookupMsg
+    : WireMessage<DirectoryLookupMsg, MessageKind::kDirectoryLookup> {
   uint64_t query_id = 0;
   StationId reply_to = 0;
   ObjectName name;
@@ -245,15 +316,18 @@ struct DirectoryLookupMsg {
   // Causal context of the locate round driving this lookup (fixed-width).
   SpanContext span;
 
-  Bytes Encode() const;
-  static StatusOr<DirectoryLookupMsg> Decode(BytesView message);
+  template <typename Self, typename Visit>
+  static auto Fields(Self& m, Visit&& visit) {
+    return visit(m.query_id, m.reply_to, m.name, List{m.avoid_hosts, 64},
+                 m.span);
+  }
 };
 
 // Read-lease grant pushed by an object's home node (DESIGN.md §15). Carries
 // a snapshot of the representation; the holder installs it as a local cached
 // copy and serves read-class invocations from it until `expiry`
 // (kSimTimeNever for a frozen object).
-struct LeaseGrantMsg {
+struct LeaseGrantMsg : WireMessage<LeaseGrantMsg, MessageKind::kLeaseGrant> {
   ObjectName name;
   std::string type_name;
   Representation representation;
@@ -268,15 +342,18 @@ struct LeaseGrantMsg {
   uint64_t epoch = 0;
   uint64_t seq = 0;
 
-  Bytes Encode() const;
-  static StatusOr<LeaseGrantMsg> Decode(BytesView message);
+  template <typename Self, typename Visit>
+  static auto Fields(Self& m, Visit&& visit) {
+    return visit(m.name, m.type_name, m.representation, m.expiry, m.epoch,
+                 m.seq);
+  }
 };
 
 // Home -> holder: give the lease back (a write is waiting). The holder drops
 // its cached copy immediately and answers with LeaseRelease; if this message
 // is lost (partition), the home's backstop timer waits out the lease expiry
 // instead — the writer is delayed, never fed stale state.
-struct LeaseRecallMsg {
+struct LeaseRecallMsg : WireMessage<LeaseRecallMsg, MessageKind::kLeaseRecall> {
   ObjectName name;
   uint64_t epoch = 0;
   uint64_t seq = 0;
@@ -285,23 +362,29 @@ struct LeaseRecallMsg {
   // invocation's trace.
   SpanContext span;
 
-  Bytes Encode() const;
-  static StatusOr<LeaseRecallMsg> Decode(BytesView message);
+  template <typename Self, typename Visit>
+  static auto Fields(Self& m, Visit&& visit) {
+    return visit(m.name, m.epoch, m.seq, m.span);
+  }
 };
 
 // Holder -> home: lease dropped. Sent in answer to a recall (echoing its
 // version) and voluntarily when a holder discards an expired entry.
-struct LeaseReleaseMsg {
+struct LeaseReleaseMsg
+    : WireMessage<LeaseReleaseMsg, MessageKind::kLeaseRelease> {
   ObjectName name;
   StationId holder = kNoStation;
   uint64_t epoch = 0;
   uint64_t seq = 0;
 
-  Bytes Encode() const;
-  static StatusOr<LeaseReleaseMsg> Decode(BytesView message);
+  template <typename Self, typename Visit>
+  static auto Fields(Self& m, Visit&& visit) {
+    return visit(m.name, m.holder, m.epoch, m.seq);
+  }
 };
 
-struct DirectoryReplyMsg {
+struct DirectoryReplyMsg
+    : WireMessage<DirectoryReplyMsg, MessageKind::kDirectoryReply> {
   uint64_t query_id = 0;
   ObjectName name;
   // False when the home has no record: the querier falls back to one
@@ -311,9 +394,55 @@ struct DirectoryReplyMsg {
   uint64_t epoch = 0;
   bool active = false;
 
-  Bytes Encode() const;
-  static StatusOr<DirectoryReplyMsg> Decode(BytesView message);
+  template <typename Self, typename Visit>
+  static auto Fields(Self& m, Visit&& visit) {
+    return visit(m.query_id, m.name, m.known, m.host, m.epoch, m.active);
+  }
 };
+
+template <typename T>
+constexpr std::type_identity<T> kType{};
+
+// The one map from kind tag to message type: calls `visit` with
+// std::type_identity<Msg> for the type `kind` names and returns its result,
+// or returns false for a tag that names no kind (retired ones included). No
+// default: -Wswitch flags a kind added without a type here.
+template <typename Visit>
+bool VisitMessageType(MessageKind kind, Visit&& visit) {
+  switch (kind) {
+    case MessageKind::kInvokeRequest: return visit(kType<InvokeRequestMsg>);
+    case MessageKind::kInvokeReply: return visit(kType<InvokeReplyMsg>);
+    case MessageKind::kInvokeRedirect: return visit(kType<InvokeRedirectMsg>);
+    case MessageKind::kLocateRequest: return visit(kType<LocateRequestMsg>);
+    case MessageKind::kLocateReply: return visit(kType<LocateReplyMsg>);
+    case MessageKind::kMoveTransfer: return visit(kType<MoveTransferMsg>);
+    case MessageKind::kMoveAck: return visit(kType<MoveAckMsg>);
+    case MessageKind::kCheckpointPut: return visit(kType<CheckpointPutMsg>);
+    case MessageKind::kCheckpointAck: return visit(kType<CheckpointAckMsg>);
+    case MessageKind::kCheckpointErase: return visit(kType<CheckpointEraseMsg>);
+    case MessageKind::kPing: return visit(kType<PingMsg>);
+    case MessageKind::kDirectoryUpdate: return visit(kType<DirectoryUpdateMsg>);
+    case MessageKind::kDirectoryLookup: return visit(kType<DirectoryLookupMsg>);
+    case MessageKind::kDirectoryReply: return visit(kType<DirectoryReplyMsg>);
+    case MessageKind::kLeaseGrant: return visit(kType<LeaseGrantMsg>);
+    case MessageKind::kLeaseRecall: return visit(kType<LeaseRecallMsg>);
+    case MessageKind::kLeaseRelease: return visit(kType<LeaseReleaseMsg>);
+  }
+  return false;
+}
+
+// Reads the kind tag without consuming the rest; a tag that names no
+// MessageKind (retired ones included) is an error.
+inline StatusOr<MessageKind> PeekMessageKind(BytesView message) {
+  if (message.empty()) {
+    return InvalidArgumentError("empty message");
+  }
+  auto kind = static_cast<MessageKind>(message[0]);
+  if (!VisitMessageType(kind, [](auto) { return true; })) {
+    return InvalidArgumentError("unknown message kind");
+  }
+  return kind;
+}
 
 }  // namespace eden
 

@@ -46,6 +46,7 @@ class ObjectName {
     return disambiguator_ < other.disambiguator_;
   }
 
+  static constexpr size_t kEncodedSize = 16;
   void Encode(BufferWriter& writer) const;
   static StatusOr<ObjectName> Decode(BufferReader& reader);
 

@@ -158,6 +158,16 @@ SimDuration NodeKernel::SerializeCost(size_t bytes) const {
   return config_.serialize_per_kb * static_cast<SimDuration>(bytes / 1024 + 1);
 }
 
+void NodeKernel::SendAfter(SimDuration delay, StationId dst, Bytes encoded,
+                           const SpanContext& span) {
+  sim().Schedule(delay,
+                 [this, dst, span, encoded = std::move(encoded)]() mutable {
+                   if (!failed_) {
+                     transport_->SendReliable(dst, std::move(encoded), span);
+                   }
+                 });
+}
+
 uint64_t NodeKernel::NewInvocationId() {
   return (static_cast<uint64_t>(station()) << 40) | next_invocation_seq_++;
 }
@@ -481,13 +491,7 @@ void NodeKernel::SendRequestTo(uint64_t id, StationId host) {
       sim().Schedule(AttemptTimeout(pending.attempts, encoded.size()),
                      [this, id] { OnAttemptTimeout(id); });
 
-  sim().Schedule(SerializeCost(encoded.size()),
-                 [this, host, span = pending.span,
-                  encoded = std::move(encoded)]() mutable {
-                   if (!failed_) {
-                     transport_->SendReliable(host, std::move(encoded), span);
-                   }
-                 });
+  SendAfter(SerializeCost(0), host, std::move(encoded), pending.span);
 }
 
 SimDuration NodeKernel::AttemptTimeout(int attempts, size_t bytes) {
@@ -734,131 +738,21 @@ void NodeKernel::OnMessage(StationId src, BytesView message) {
   digest_.Mix(Fnv1a64(message));
   // Any traffic from a peer is liveness evidence (find-only on healthy peers).
   ReportPeerAlive(src);
-  auto kind = PeekMessageKind(message);
-  if (!kind.ok()) {
+  bool handled =
+      !message.empty() &&
+      VisitMessageType(static_cast<MessageKind>(message[0]), [&](auto type) {
+        auto msg = decltype(type)::type::Decode(message);
+        if (msg.ok()) {
+          Handle(src, std::move(*msg));
+        }
+        return msg.ok();
+      });
+  if (!handled) {
     EDEN_LOG(kWarning, "kernel") << node_name_ << ": undecodable message";
-    return;
-  }
-  switch (*kind) {
-    case MessageKind::kInvokeRequest: {
-      auto msg = InvokeRequestMsg::Decode(message);
-      if (msg.ok()) {
-        HandleInvokeRequest(src, std::move(*msg));
-      }
-      break;
-    }
-    case MessageKind::kInvokeReply: {
-      auto msg = InvokeReplyMsg::Decode(message);
-      if (msg.ok()) {
-        HandleInvokeReply(src, std::move(*msg));
-      }
-      break;
-    }
-    case MessageKind::kInvokeRedirect: {
-      auto msg = InvokeRedirectMsg::Decode(message);
-      if (msg.ok()) {
-        HandleInvokeRedirect(src, *msg);
-      }
-      break;
-    }
-    case MessageKind::kLocateRequest: {
-      auto msg = LocateRequestMsg::Decode(message);
-      if (msg.ok()) {
-        HandleLocateRequest(src, *msg);
-      }
-      break;
-    }
-    case MessageKind::kLocateReply: {
-      auto msg = LocateReplyMsg::Decode(message);
-      if (msg.ok()) {
-        HandleLocateReply(*msg);
-      }
-      break;
-    }
-    case MessageKind::kMoveTransfer: {
-      auto msg = MoveTransferMsg::Decode(message);
-      if (msg.ok()) {
-        HandleMoveTransfer(src, std::move(*msg));
-      }
-      break;
-    }
-    case MessageKind::kMoveAck: {
-      auto msg = MoveAckMsg::Decode(message);
-      if (msg.ok()) {
-        HandleMoveAck(*msg);
-      }
-      break;
-    }
-    case MessageKind::kCheckpointPut: {
-      auto msg = CheckpointPutMsg::Decode(message);
-      if (msg.ok()) {
-        HandleCheckpointPut(src, std::move(*msg));
-      }
-      break;
-    }
-    case MessageKind::kCheckpointAck: {
-      auto msg = CheckpointAckMsg::Decode(message);
-      if (msg.ok()) {
-        HandleCheckpointAck(*msg);
-      }
-      break;
-    }
-    case MessageKind::kCheckpointErase: {
-      auto msg = CheckpointEraseMsg::Decode(message);
-      if (msg.ok()) {
-        HandleCheckpointErase(*msg);
-      }
-      break;
-    }
-    case MessageKind::kPing:
-      // Health probe: the transport-level ack already answered it.
-      break;
-    case MessageKind::kDirectoryUpdate: {
-      auto msg = DirectoryUpdateMsg::Decode(message);
-      if (msg.ok()) {
-        location_->HandleDirectoryUpdate(src, *msg);
-      }
-      break;
-    }
-    case MessageKind::kDirectoryLookup: {
-      auto msg = DirectoryLookupMsg::Decode(message);
-      if (msg.ok()) {
-        location_->HandleDirectoryLookup(src, *msg);
-      }
-      break;
-    }
-    case MessageKind::kDirectoryReply: {
-      auto msg = DirectoryReplyMsg::Decode(message);
-      if (msg.ok()) {
-        location_->HandleDirectoryReply(*msg);
-      }
-      break;
-    }
-    case MessageKind::kLeaseGrant: {
-      auto msg = LeaseGrantMsg::Decode(message);
-      if (msg.ok()) {
-        HandleLeaseGrant(src, std::move(*msg));
-      }
-      break;
-    }
-    case MessageKind::kLeaseRecall: {
-      auto msg = LeaseRecallMsg::Decode(message);
-      if (msg.ok()) {
-        HandleLeaseRecall(src, *msg);
-      }
-      break;
-    }
-    case MessageKind::kLeaseRelease: {
-      auto msg = LeaseReleaseMsg::Decode(message);
-      if (msg.ok()) {
-        HandleLeaseRelease(src, *msg);
-      }
-      break;
-    }
   }
 }
 
-void NodeKernel::HandleInvokeRequest(StationId src, InvokeRequestMsg msg) {
+void NodeKernel::Handle(StationId src, InvokeRequestMsg msg) {
   uint64_t id = msg.invocation_id;
 
   // At-most-once execution: a retransmitted request must not run twice.
@@ -950,7 +844,7 @@ void NodeKernel::HandleInvokeRequest(StationId src, InvokeRequestMsg msg) {
   transport_->SendReliable(reply_to, redirect.Encode());
 }
 
-void NodeKernel::HandleInvokeReply(StationId src, InvokeReplyMsg msg) {
+void NodeKernel::Handle(StationId src, InvokeReplyMsg msg) {
   auto it = pending_invocations_.find(msg.invocation_id);
   if (it == pending_invocations_.end()) {
     return;
@@ -970,7 +864,7 @@ void NodeKernel::HandleInvokeReply(StationId src, InvokeReplyMsg msg) {
   CompleteInvocation(msg.invocation_id, std::move(msg.result));
 }
 
-void NodeKernel::HandleInvokeRedirect(StationId src, const InvokeRedirectMsg& msg) {
+void NodeKernel::Handle(StationId src, const InvokeRedirectMsg& msg) {
   auto it = pending_invocations_.find(msg.invocation_id);
   if (it == pending_invocations_.end()) {
     return;
@@ -1017,7 +911,7 @@ void NodeKernel::HandleInvokeRedirect(StationId src, const InvokeRedirectMsg& ms
                 hint != location_cache_.end() ? hint->second.host : msg.new_host);
 }
 
-void NodeKernel::HandleLocateRequest(StationId src, const LocateRequestMsg& msg) {
+void NodeKernel::Handle(StationId src, const LocateRequestMsg& msg) {
   const ObjectName name = msg.name;
   // Leased copies never answer: only the authoritative copy counts.
   bool is_active_here = active_.count(name) > 0 || activating_.count(name) > 0;
@@ -1082,7 +976,7 @@ void NodeKernel::HandleLocateRequest(StationId src, const LocateRequestMsg& msg)
   }
 }
 
-void NodeKernel::HandleLocateReply(const LocateReplyMsg& msg) {
+void NodeKernel::Handle(StationId src, const LocateReplyMsg& msg) {
   ResidenceRecord record{msg.host, msg.epoch, msg.active};
   auto it = pending_locates_.find(msg.query_id);
   if (it == pending_locates_.end()) {
@@ -1254,16 +1148,11 @@ void NodeKernel::ReplyTo(const PendingDispatch& d, InvokeResult result,
   reply.lease_renew_expiry = lease_renew_expiry;
   Bytes encoded = reply.Encode();
   // Receive-side kernel processing for the request plus reply marshalling.
+  // The reply's wire span parents to the (just closed) dispatch span: the
+  // trace stays open until the reply is acknowledged, so its ACK leg is
+  // attributed rather than lost.
   SimDuration cost = config_.remote_receive_overhead + SerializeCost(encoded.size());
-  sim().Schedule(cost, [this, dst = d.request.reply_to, span = d.span,
-                        encoded = std::move(encoded)]() mutable {
-    if (!failed_) {
-      // The reply's wire span parents to the (just closed) dispatch span:
-      // the trace stays open until the reply is acknowledged, so its ACK
-      // leg is attributed rather than lost.
-      transport_->SendReliable(dst, std::move(encoded), span);
-    }
-  });
+  SendAfter(cost, d.request.reply_to, std::move(encoded), d.span);
 }
 
 void NodeKernel::RefuseDispatch(const PendingDispatch& d, Status status) {
@@ -1349,13 +1238,7 @@ uint64_t NodeKernel::SendLeaseGrant(const std::shared_ptr<ActiveObject>& object,
   grant.expiry = static_cast<uint64_t>(expiry);
   grant.epoch = object->location_epoch;
   grant.seq = seq;
-  Bytes encoded = grant.Encode();
-  sim().Schedule(SerializeCost(encoded.size()),
-                 [this, reader, encoded = std::move(encoded)]() mutable {
-                   if (!failed_) {
-                     transport_->SendReliable(reader, std::move(encoded));
-                   }
-                 });
+  SendAfter(SerializeCost(0), reader, grant.Encode());
   return seq;
 }
 
@@ -1497,7 +1380,7 @@ void NodeKernel::TeardownLeases(const std::shared_ptr<ActiveObject>& object,
   }
 }
 
-void NodeKernel::HandleLeaseGrant(StationId src, LeaseGrantMsg msg) {
+void NodeKernel::Handle(StationId src, LeaseGrantMsg msg) {
   if (active_.count(msg.name) > 0) {
     // Home-side authority here now (the object moved to this node while the
     // grant was in flight); the cached copy would be a stale shadow.
@@ -1541,7 +1424,7 @@ void NodeKernel::HandleLeaseGrant(StationId src, LeaseGrantMsg msg) {
   lease_cache_[msg.name] = std::move(entry);
 }
 
-void NodeKernel::HandleLeaseRecall(StationId src, const LeaseRecallMsg& msg) {
+void NodeKernel::Handle(StationId src, const LeaseRecallMsg& msg) {
   std::pair<uint64_t, uint64_t> version{msg.epoch, msg.seq};
   auto& floor = lease_floor_[msg.name];
   floor = std::max(floor, version);
@@ -1562,7 +1445,7 @@ void NodeKernel::HandleLeaseRecall(StationId src, const LeaseRecallMsg& msg) {
   transport_->SendReliable(src, release.Encode(), msg.span);
 }
 
-void NodeKernel::HandleLeaseRelease(StationId src, const LeaseReleaseMsg& msg) {
+void NodeKernel::Handle(StationId src, const LeaseReleaseMsg& msg) {
   auto it = active_.find(msg.name);
   if (it == active_.end()) {
     return;
@@ -1798,23 +1681,17 @@ Task<Status> NodeKernel::ReadCheckpointChain(const ObjectName& name,
   }
 
   BufferReader reader(record->view());
-  auto tag = reader.ReadU8();
-  if (!tag.ok() ||
-      *tag != static_cast<uint8_t>(CheckpointRecordKind::kBase)) {
-    co_return DataLossError("corrupt checkpoint for " + name.ToString());
-  }
-  auto type_name = reader.ReadString();
-  auto policy = type_name.ok() ? CheckpointPolicy::Decode(reader)
-                               : StatusOr<CheckpointPolicy>(type_name.status());
-  auto frozen = policy.ok() ? reader.ReadBool() : StatusOr<bool>(policy.status());
-  auto rep = frozen.ok() ? Representation::Decode(reader)
-                         : StatusOr<Representation>(frozen.status());
+  CheckpointRecordHeader header;
+  bool header_ok = ReadFields(reader, header).ok() &&
+                   header.kind == CheckpointRecordKind::kBase;
+  auto rep = header_ok ? Representation::Decode(reader)
+                       : StatusOr<Representation>(DataLossError("bad header"));
   if (!rep.ok()) {
     co_return DataLossError("corrupt checkpoint for " + name.ToString());
   }
-  out.type_name = *type_name;
-  out.policy = *policy;
-  out.frozen = *frozen;
+  out.type_name = std::move(header.type_name);
+  out.policy = header.policy;
+  out.frozen = header.frozen;
   out.rep = std::move(*rep);
   out.chain_len = 0;
   out.corrupt = false;
@@ -1839,30 +1716,19 @@ Task<Status> NodeKernel::ReadCheckpointChain(const ObjectName& name,
       break;
     }
     BufferReader delta_reader(delta->view());
-    auto delta_tag = delta_reader.ReadU8();
-    if (!delta_tag.ok() ||
-        *delta_tag != static_cast<uint8_t>(CheckpointRecordKind::kDelta)) {
-      out.corrupt = true;
-      out.corrupt_at = k;
-      break;
-    }
-    auto delta_type = delta_reader.ReadString();
-    auto delta_policy = delta_type.ok()
-                            ? CheckpointPolicy::Decode(delta_reader)
-                            : StatusOr<CheckpointPolicy>(delta_type.status());
-    auto delta_frozen = delta_policy.ok()
-                            ? delta_reader.ReadBool()
-                            : StatusOr<bool>(delta_policy.status());
+    CheckpointRecordHeader link;
     Representation scratch = out.rep;
-    if (!delta_frozen.ok() || *delta_type != out.type_name ||
+    if (!ReadFields(delta_reader, link).ok() ||
+        link.kind != CheckpointRecordKind::kDelta ||
+        link.type_name != out.type_name ||
         !scratch.ApplyDelta(delta_reader).ok()) {
       out.corrupt = true;
       out.corrupt_at = k;
       break;
     }
     out.rep = std::move(scratch);
-    out.policy = *delta_policy;
-    out.frozen = *delta_frozen;
+    out.policy = link.policy;
+    out.frozen = link.frozen;
     out.chain_len = k;
   }
   co_return OkStatus();
@@ -1980,10 +1846,8 @@ Future<Status> NodeKernel::CheckpointForObject(
 Bytes NodeKernel::EncodeCheckpointRecord(const ActiveObject& object,
                                          CheckpointRecordKind kind) const {
   BufferWriter writer;
-  writer.WriteU8(static_cast<uint8_t>(kind));
-  writer.WriteString(object.type->name());
-  object.policy.Encode(writer);
-  writer.WriteBool(object.frozen);
+  WriteFields(writer, CheckpointRecordHeader{kind, object.type->name(),
+                                             object.policy, object.frozen});
   if (kind == CheckpointRecordKind::kBase) {
     object.core->rep.Encode(writer);
   } else {
@@ -2077,18 +1941,11 @@ Future<Status> NodeKernel::SendRemoteCheckpoint(const ObjectName& name,
   msg.is_mirror = is_mirror;
   msg.delta_seq = delta_seq;
   msg.span = parent;
-  Bytes encoded = msg.Encode();
-  sim().Schedule(SerializeCost(encoded.size()),
-                 [this, site, span = parent,
-                  encoded = std::move(encoded)]() mutable {
-                   if (!failed_) {
-                     transport_->SendReliable(site, std::move(encoded), span);
-                   }
-                 });
+  SendAfter(SerializeCost(0), site, msg.Encode(), parent);
   return future;
 }
 
-void NodeKernel::HandleCheckpointPut(StationId src, CheckpointPutMsg msg) {
+void NodeKernel::Handle(StationId src, CheckpointPutMsg msg) {
   // The checksite's disk write becomes a cross-node store-write child of the
   // origin's checkpoint span.
   Future<Status> write = WriteLocalCheckpoint(msg.name, std::move(msg.record),
@@ -2109,7 +1966,7 @@ void NodeKernel::HandleCheckpointPut(StationId src, CheckpointPutMsg msg) {
   });
 }
 
-void NodeKernel::HandleCheckpointAck(const CheckpointAckMsg& msg) {
+void NodeKernel::Handle(StationId src, const CheckpointAckMsg& msg) {
   auto it = pending_acks_.find(msg.request_id);
   if (it == pending_acks_.end()) {
     return;
@@ -2120,7 +1977,7 @@ void NodeKernel::HandleCheckpointAck(const CheckpointAckMsg& msg) {
   promise.Set(msg.ok ? OkStatus() : InternalError("checksite write failed"));
 }
 
-void NodeKernel::HandleCheckpointErase(const CheckpointEraseMsg& msg) {
+void NodeKernel::Handle(StationId src, const CheckpointEraseMsg& msg) {
   EraseDeltaChain(msg.name, /*is_mirror=*/false);
   EraseDeltaChain(msg.name, /*is_mirror=*/true);
   store_->Delete(CheckpointKey(msg.name));
@@ -2339,17 +2196,10 @@ DetachedTask NodeKernel::RunMove(std::shared_ptr<ActiveObject> object,
       });
 
   counters_.moves_out->Increment();
-  sim().Schedule(SerializeCost(encoded.size()),
-                 [this, destination, span = move_span,
-                  encoded = std::move(encoded)]() mutable {
-                   if (!failed_) {
-                     transport_->SendReliable(destination, std::move(encoded),
-                                              span);
-                   }
-                 });
+  SendAfter(SerializeCost(0), destination, std::move(encoded), move_span);
 }
 
-void NodeKernel::HandleMoveTransfer(StationId src, MoveTransferMsg msg) {
+void NodeKernel::Handle(StationId src, MoveTransferMsg msg) {
   MoveAckMsg ack;
   ack.transfer_id = msg.transfer_id;
   ack.name = msg.name;
@@ -2432,7 +2282,7 @@ void NodeKernel::HandleMoveTransfer(StationId src, MoveTransferMsg msg) {
   }(this, object, act_span);
 }
 
-void NodeKernel::HandleMoveAck(const MoveAckMsg& msg) {
+void NodeKernel::Handle(StationId src, const MoveAckMsg& msg) {
   auto it = pending_moves_.find(msg.transfer_id);
   if (it == pending_moves_.end()) {
     return;

@@ -385,20 +385,41 @@ class NodeKernel {
   void SendPeerProbe(StationId peer);
 
   // --- Message plumbing --------------------------------------------------------
+  // OnMessage decodes each message as the type its kind names and calls the
+  // Handle overload for that type.
   void OnMessage(StationId src, BytesView message);
-  void HandleInvokeRequest(StationId src, InvokeRequestMsg msg);
-  void HandleInvokeReply(StationId src, InvokeReplyMsg msg);
-  void HandleInvokeRedirect(StationId src, const InvokeRedirectMsg& msg);
-  void HandleLocateRequest(StationId src, const LocateRequestMsg& msg);
-  void HandleLocateReply(const LocateReplyMsg& msg);
-  void HandleMoveTransfer(StationId src, MoveTransferMsg msg);
-  void HandleMoveAck(const MoveAckMsg& msg);
-  void HandleCheckpointPut(StationId src, CheckpointPutMsg msg);
-  void HandleCheckpointAck(const CheckpointAckMsg& msg);
-  void HandleCheckpointErase(const CheckpointEraseMsg& msg);
-  void HandleLeaseGrant(StationId src, LeaseGrantMsg msg);
-  void HandleLeaseRecall(StationId src, const LeaseRecallMsg& msg);
-  void HandleLeaseRelease(StationId src, const LeaseReleaseMsg& msg);
+  void Handle(StationId src, InvokeRequestMsg msg);
+  void Handle(StationId src, InvokeReplyMsg msg);
+  void Handle(StationId src, const InvokeRedirectMsg& msg);
+  void Handle(StationId src, const LocateRequestMsg& msg);
+  void Handle(StationId src, const LocateReplyMsg& msg);
+  void Handle(StationId src, MoveTransferMsg msg);
+  void Handle(StationId src, const MoveAckMsg& msg);
+  void Handle(StationId src, CheckpointPutMsg msg);
+  void Handle(StationId src, const CheckpointAckMsg& msg);
+  void Handle(StationId src, const CheckpointEraseMsg& msg);
+  // A health probe: the transport-level ack already answered it.
+  void Handle(StationId src, const PingMsg& msg) {}
+  void Handle(StationId src, const DirectoryUpdateMsg& msg) {
+    location_->HandleDirectoryUpdate(src, msg);
+  }
+  void Handle(StationId src, const DirectoryLookupMsg& msg) {
+    location_->HandleDirectoryLookup(src, msg);
+  }
+  void Handle(StationId src, const DirectoryReplyMsg& msg) {
+    location_->HandleDirectoryReply(msg);
+  }
+  void Handle(StationId src, LeaseGrantMsg msg);
+  void Handle(StationId src, const LeaseRecallMsg& msg);
+  void Handle(StationId src, const LeaseReleaseMsg& msg);
+  // Sends `encoded` reliably to `dst` once `delay`, its marshalling cost, has
+  // passed, unless this node has failed by then. A reply pays the receive
+  // overhead plus SerializeCost of its size. Requests, lease grants,
+  // checkpoint puts and move transfers pay SerializeCost(0), one unit
+  // whatever their size: every seeded pin was recorded with that cost, and
+  // charging their true size moves each pin that sends 1 KB or more.
+  void SendAfter(SimDuration delay, StationId dst, Bytes encoded,
+                 const SpanContext& span = {});
 
   // --- Read leases (DESIGN.md §15) -------------------------------------------
   // Home side. MaybeGrantLease runs as a read-class invocation from station

@@ -27,6 +27,12 @@ void Representation::ClearDirty() {
   caps_dirty_ = false;
 }
 
+size_t Representation::EncodedSizeBound() const {
+  // ByteSize counts each capability at its encoded width; add the two counts
+  // and one length prefix per segment.
+  return ByteSize() + kMaxVarintBytes * (data_segments_.size() + 2);
+}
+
 void Representation::Encode(BufferWriter& writer) const {
   writer.WriteVarint(data_segments_.size());
   for (const Bytes& segment : data_segments_) {
@@ -122,7 +128,7 @@ size_t Representation::ByteSize() const {
   for (const Bytes& segment : data_segments_) {
     total += segment.size();
   }
-  total += capabilities_.size() * 20;  // 16-byte name + 4-byte rights
+  total += capabilities_.size() * Capability::kEncodedSize;
   return total;
 }
 
@@ -134,7 +140,7 @@ size_t Representation::DirtyByteSize() const {
     }
   }
   if (caps_dirty_) {
-    total += capabilities_.size() * 20;
+    total += capabilities_.size() * Capability::kEncodedSize;
   }
   return total;
 }

@@ -89,6 +89,8 @@ class Representation {
   void ClearDirty();
 
   // --- Whole-representation operations ----------------------------------
+  // Upper bound on the bytes Encode appends (for sizing a writer).
+  size_t EncodedSizeBound() const;
   void Encode(BufferWriter& writer) const;
   static StatusOr<Representation> Decode(BufferReader& reader);
 

@@ -56,6 +56,7 @@ struct SpanContext {
 
   // Fixed-width (3 x u64, zeros when tracing is disabled) so message byte
   // sizes never depend on whether a collector is attached.
+  static constexpr size_t kEncodedSize = 24;
   void Encode(BufferWriter& writer) const;
   static StatusOr<SpanContext> Decode(BufferReader& reader);
 };

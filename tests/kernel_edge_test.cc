@@ -3,6 +3,7 @@
 // checksite validation, and destroy semantics.
 #include <gtest/gtest.h>
 
+#include "src/common/log.h"
 #include "src/kernel/eden_system.h"
 #include "src/types/standard_types.h"
 #include "tests/test_util.h"
@@ -267,6 +268,33 @@ TEST_F(KernelEdgeFixture, SelfInvocationThroughOwnCapability) {
   InvokeResult result = Call(1, *cap, "outer_op");
   ASSERT_TRUE(result.ok()) << result.status;
   EXPECT_EQ(result.results.StringAt(0).value(), "inner ran");
+}
+
+TEST_F(KernelEdgeFixture, UndecodableMessagesAreLoggedAndDropped) {
+  // A retired kind tag, and a known tag whose body is truncated: the dispatch
+  // rejects both with one warning each, and the node keeps serving.
+  std::vector<std::string> warnings;
+  Logger::Get().set_sink(
+      [&](LogLevel level, std::string_view, std::string_view message) {
+        if (level == LogLevel::kWarning) {
+          warnings.emplace_back(message);
+        }
+      });
+  Transport& sender = system_.node(1).transport();
+  StationId target = system_.node(0).station();
+  sender.SendReliable(target, Bytes{11, 0});
+  sender.SendReliable(target,
+                      Bytes{static_cast<uint8_t>(MessageKind::kInvokeRequest), 1});
+  system_.RunFor(Milliseconds(50));
+  Logger::Get().set_sink(nullptr);
+  ASSERT_EQ(warnings.size(), 2u);
+  for (const std::string& warning : warnings) {
+    EXPECT_NE(warning.find("undecodable message"), std::string::npos);
+  }
+
+  auto cap = system_.node(0).CreateObject("std.counter", Representation{});
+  ASSERT_TRUE(cap.ok());
+  EXPECT_TRUE(Call(1, *cap, "increment").ok());
 }
 
 }  // namespace

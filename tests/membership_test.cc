@@ -725,5 +725,17 @@ TEST(MembershipDeathTest, MembershipOpOnShardedSystemDies) {
       "single-threaded");
 }
 
+TEST(MembershipDeathTest, WithShardOutOfRangeDies) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        SystemConfig config;
+        config.shards = 2;
+        EdenSystem system(config);
+        system.AddNode("b").WithShard(5);
+      },
+      "shard index 5 is out of range for 2 shards");
+}
+
 }  // namespace
 }  // namespace eden
