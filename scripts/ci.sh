@@ -41,10 +41,13 @@
 #      (edenbench/README.md). Host timings are not gated here; the point is
 #      the benchmark's own output checks, any of which fails the run:
 #      pass-to-pass digest and counter reproduction, 1- vs 2-shard per-node
-#      digests, exactly-once counter sums and the reincarnation check. Then
-#      build edenbench_test in the tree run.py configured and run it: the
-#      percentile rule, Zipf determinism, metric names, the ledger sum and
-#      the rollup check.
+#      digests, exactly-once counter sums and the reincarnation check. Each
+#      workload's seed-1 model_digest must also equal its pinned value, so a
+#      change meant to cut host time cannot change the modelled system
+#      unnoticed; re-pin a value only when the model is meant to change.
+#      Then build edenbench_test in the tree run.py configured and run it:
+#      the percentile rule, Zipf determinism, metric names, the ledger sum
+#      and the rollup check.
 #
 #   scripts/ci.sh [jobs]
 set -eu
@@ -106,10 +109,25 @@ echo "== sharded engine smoke (shard sweep, quick) =="
   --json="$repo_root/build/BENCH_bench_throughput_smoke.json"
 
 echo "== benchmark smoke (edenbench output checks, every workload) =="
-for workload in ring_csma zipf_lease durable_mirror sharded_ring; do
-  (cd "$repo_root" && python3 edenbench/run.py --workload "$workload" \
-    --seed 1 --seconds 1 --trace 0)
-done
+# workload | its pinned seed-1 model_digest
+while IFS='|' read -r workload pinned <&3; do
+  status=0
+  report=$(cd "$repo_root" && python3 edenbench/run.py --workload "$workload" \
+    --seed 1 --seconds 1 --trace 0) || status=$?
+  printf '%s\n' "$report"
+  [ "$status" -eq 0 ] || exit "$status"
+  digest=$(printf '%s\n' "$report" | python3 -c 'import json, sys
+print(json.loads(sys.stdin.readline())["edenbench_report"]["model_digest"])')
+  if [ "$digest" != "$pinned" ]; then
+    echo "$workload: model_digest $digest, pinned $pinned" >&2
+    exit 1
+  fi
+done 3<<'EOF'
+ring_csma|e68af865f4f16abe
+zipf_lease|c4e081a5799e8856
+durable_mirror|6436611582c75446
+sharded_ring|5099ef26e0226ecd
+EOF
 # run.py's tree: $CARGO_TARGET_DIR (relative to the root unless absolute) or
 # .bench_build, then edenbench/.
 bench_base=${CARGO_TARGET_DIR:-.bench_build}

@@ -1234,11 +1234,15 @@ uint64_t NodeKernel::SendLeaseGrant(const std::shared_ptr<ActiveObject>& object,
   LeaseGrantMsg grant;
   grant.name = object->name;
   grant.type_name = object->type->name();
-  grant.representation = object->core->rep;  // snapshot at grant time
   grant.expiry = static_cast<uint64_t>(expiry);
   grant.epoch = object->location_epoch;
   grant.seq = seq;
-  SendAfter(SerializeCost(0), reader, grant.Encode());
+  // The encoder borrows the representation: the grant carries a snapshot of
+  // it in the encoded bytes, and the object keeps it.
+  grant.representation = std::move(object->core->rep);
+  Bytes encoded = grant.Encode();
+  object->core->rep = std::move(grant.representation);
+  SendAfter(SerializeCost(0), reader, std::move(encoded));
   return seq;
 }
 
@@ -1506,7 +1510,7 @@ DetachedTask NodeKernel::RunActivation(ObjectName name, SpanContext parent) {
     }
     auto remote = activation_remote_hold_.find(name);
     if (remote != activation_remote_hold_.end()) {
-      std::deque<PendingDispatch> held = std::move(remote->second);
+      DispatchQueue held = std::move(remote->second);
       activation_remote_hold_.erase(remote);
       for (PendingDispatch& d : held) {
         RefuseDispatch(d, status);
@@ -1651,7 +1655,7 @@ DetachedTask NodeKernel::RunActivation(ObjectName name, SpanContext parent) {
   }
   auto remote = activation_remote_hold_.find(name);
   if (remote != activation_remote_hold_.end()) {
-    std::deque<PendingDispatch> held = std::move(remote->second);
+    DispatchQueue held = std::move(remote->second);
     activation_remote_hold_.erase(remote);
     for (PendingDispatch& d : held) {
       AcceptDispatch(object, std::move(d));
@@ -1993,7 +1997,7 @@ void NodeKernel::CrashObject(const std::shared_ptr<ActiveObject>& object,
   object->core->Fail(reason);
 
   // Refuse everything that was waiting; running invocations reply on their own.
-  auto refuse_all = [this, &reason](std::deque<PendingDispatch>& queue) {
+  auto refuse_all = [this, &reason](DispatchQueue& queue) {
     while (!queue.empty()) {
       PendingDispatch d = std::move(queue.front());
       queue.pop_front();
@@ -2160,12 +2164,17 @@ DetachedTask NodeKernel::RunMove(std::shared_ptr<ActiveObject> object,
   // At-most-once state travels with the object: cached replies for its
   // invocations keep answering retries at the new home, so a request whose
   // reply raced the move is re-replied there instead of re-executed.
-  // (reply_cache_ is id-ordered, so the carried list is deterministic.)
+  // reply_cache_ iterates in hash order; the carried list goes in id order,
+  // which fixes its wire bytes and the new home's eviction order.
   for (const auto& [id, cached] : reply_cache_) {
     if (cached.object == object->name) {
       msg.cached_replies.push_back({id, cached.result});
     }
   }
+  std::sort(msg.cached_replies.begin(), msg.cached_replies.end(),
+            [](const auto& a, const auto& b) {
+              return a.invocation_id < b.invocation_id;
+            });
   Bytes encoded = msg.Encode();
 
   PendingMove& pending = pending_moves_[transfer_id];
@@ -2386,14 +2395,25 @@ void NodeKernel::FailNode() {
   // and is rebuilt lazily from the hosts' inventories via fallback + repair.
   location_->OnNodeFailed();
 
-  auto pending = std::move(pending_invocations_);
-  pending_invocations_.clear();
-  for (auto& [id, invocation] : pending) {
-    sim().Cancel(invocation.user_timer);
-    sim().Cancel(invocation.attempt_timer);
-    EndSpan(invocation.span, "node_failed");
-    invocation.promise.Set(
-        InvokeResult::Error(UnavailableError("invoking node failed")));
+  {
+    // pending_invocations_ iterates in hash order; fail the invocations in id
+    // order, since each failure runs its invoker's continuation at once.
+    auto pending = std::move(pending_invocations_);
+    pending_invocations_.clear();
+    std::vector<std::pair<uint64_t, PendingInvocation*>> by_id;
+    by_id.reserve(pending.size());
+    for (auto& [id, invocation] : pending) {
+      by_id.emplace_back(id, &invocation);
+    }
+    std::sort(by_id.begin(), by_id.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (auto& [id, invocation] : by_id) {
+      sim().Cancel(invocation->user_timer);
+      sim().Cancel(invocation->attempt_timer);
+      EndSpan(invocation->span, "node_failed");
+      invocation->promise.Set(
+          InvokeResult::Error(UnavailableError("invoking node failed")));
+    }
   }
   {
     // pending_locates_ iterates in hash order; close spans in query-id order

@@ -18,6 +18,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/kernel/context.h"
@@ -639,7 +640,9 @@ class NodeKernel {
   // Iterated only to cancel probe timers on node failure.
   std::unordered_map<StationId, PeerState> peers_;
 
-  std::map<uint64_t, PendingInvocation> pending_invocations_;
+  // The id tables on the request path are hashed. FailNode, the one loop
+  // over pending_invocations_ whose order is observable, sorts by id.
+  std::unordered_map<uint64_t, PendingInvocation> pending_invocations_;
   // Iterated only to cancel timers on node failure (order-insensitive).
   std::unordered_map<uint64_t, PendingLocate> pending_locates_;
   std::map<ObjectName, uint64_t> locate_by_name_;
@@ -650,14 +653,15 @@ class NodeKernel {
   // object wait here until the reincarnation handler finishes.
   std::set<ObjectName> activating_;
   std::map<ObjectName, std::vector<uint64_t>> activation_local_waiters_;
-  std::map<ObjectName, std::deque<PendingDispatch>> activation_remote_hold_;
+  std::map<ObjectName, DispatchQueue> activation_remote_hold_;
 
   // --- Client-side lease cache (DESIGN.md §15) -------------------------------
   // One entry per object this node holds a read lease on. `replica` is a
   // frozen local copy built from the grant's representation snapshot;
   // read-class invocations dispatch into it with zero network traffic until
-  // `expiry` (kSimTimeNever for a frozen object's copy). Ordered map: FailNode
-  // teardown iterates it.
+  // `expiry` (kSimTimeNever for a frozen object's copy). Never iterated
+  // (FailNode only clears it); it stays an ordered map because hashing it
+  // measured no faster.
   struct LeaseEntry {
     std::shared_ptr<ActiveObject> replica;
     SimTime expiry = 0;
@@ -674,13 +678,15 @@ class NodeKernel {
 
   // Server-side at-most-once execution. Cached replies remember which object
   // produced them so a move can carry the object's entries to the new host
-  // (a retry that lands post-move must re-reply, not re-execute).
+  // (a retry that lands post-move must re-reply, not re-execute). Both
+  // tables are hashed; RunMove sorts the replies it carries by id, and
+  // reply_cache_order_ keeps eviction FIFO.
   struct CachedReply {
     InvokeResult result;
     ObjectName object;
   };
-  std::set<uint64_t> requests_in_progress_;
-  std::map<uint64_t, CachedReply> reply_cache_;
+  std::unordered_set<uint64_t> requests_in_progress_;
+  std::unordered_map<uint64_t, CachedReply> reply_cache_;
   std::deque<uint64_t> reply_cache_order_;
 
   uint64_t next_invocation_seq_ = 1;

@@ -6,7 +6,7 @@
 #ifndef EDEN_SRC_KERNEL_OBJECT_H_
 #define EDEN_SRC_KERNEL_OBJECT_H_
 
-#include <deque>
+#include <list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -81,6 +81,12 @@ struct PendingDispatch {
   bool lease_mutator = false;
 };
 
+// A FIFO of dispatches. Most of these queues stay empty for their whole
+// life, and a lease copy carries one per invocation class, so the container
+// must allocate nothing while it is empty: a std::deque allocates a map and
+// a node as soon as it is constructed.
+using DispatchQueue = std::list<PendingDispatch>;
+
 // Kernel bookkeeping for one active object (the coordinator's state).
 struct ActiveObject {
   ObjectName name;
@@ -105,8 +111,8 @@ struct ActiveObject {
 
   // Per-invocation-class running counts and FIFO wait queues.
   std::vector<int> class_running;
-  std::vector<std::deque<PendingDispatch>> class_queues;
-  std::deque<PendingDispatch> hold_queue;
+  std::vector<DispatchQueue> class_queues;
+  DispatchQueue hold_queue;
 
   int total_running = 0;
   uint64_t invocations_served = 0;
@@ -150,7 +156,7 @@ struct ActiveObject {
     // write's dispatch span; invalid when tracing is off).
     SpanContext span;
     // Write-class dispatches admitted only once the recall resolves.
-    std::deque<PendingDispatch> write_queue;
+    DispatchQueue write_queue;
     // Moves (and anything else) co_awaiting lease clearance.
     std::vector<Promise<Unit>> waiters;
   };

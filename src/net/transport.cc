@@ -513,7 +513,7 @@ size_t Transport::PeerHistory::Home(uint64_t msg_id) const {
 }
 
 bool Transport::PeerHistory::Contains(uint64_t msg_id) const {
-  if (index_.empty()) {
+  if (msg_id > highest_ || index_.empty()) {
     return false;
   }
   size_t mask = index_.size() - 1;
@@ -532,6 +532,7 @@ void Transport::PeerHistory::Insert(uint64_t msg_id, size_t window) {
     return;
   }
   assert(!Contains(msg_id) && "a window holds each id at most once");
+  highest_ = std::max(highest_, msg_id);
   if (ring_.size() < window) {
     ring_.push_back(msg_id);
     if (2 * ring_.size() > index_.size()) {

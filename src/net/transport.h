@@ -30,7 +30,9 @@
 //     frame fold eight bytes per table step, with bit-identical values.
 //   * A flat duplicate-suppression window per peer (PeerHistory): a ring of
 //     the last dedup_window delivered ids plus an open-addressed index into
-//     it, which allocates nothing per delivery once the window is full.
+//     it, which allocates nothing per delivery once the window is full. A
+//     sender's ids rise, so a new message's id is above every id held, and
+//     the check answers it without probing the index.
 #ifndef EDEN_SRC_NET_TRANSPORT_H_
 #define EDEN_SRC_NET_TRANSPORT_H_
 
@@ -166,6 +168,8 @@ class Transport {
   // full.
   class PeerHistory {
    public:
+    // False at once for an id above every id ever inserted; probes the index
+    // otherwise.
     bool Contains(uint64_t msg_id) const;
     // Records a delivery of an id not in the window, evicting the oldest id
     // once `window` ids are held.
@@ -183,6 +187,7 @@ class Transport {
     size_t oldest_ = 0;  // ring position of the oldest id once the ring is full
     std::vector<uint32_t> index_;  // size 0 or a power of two
     int index_bits_ = 0;
+    uint64_t highest_ = 0;  // the highest id inserted
   };
 
   struct TransportCounters {

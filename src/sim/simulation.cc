@@ -49,24 +49,24 @@ uint64_t Simulation::NextDomainSeq(uint32_t domain) {
   return domain_seq_[domain]++;
 }
 
-EventId Simulation::Schedule(SimDuration delay, EventFn fn) {
+EventId Simulation::Schedule(SimDuration delay, EventFn&& fn) {
   assert(delay >= 0 && "cannot schedule into the past");
   return ScheduleAt(now_ + delay, std::move(fn));
 }
 
-EventId Simulation::ScheduleAt(SimTime when, EventFn fn) {
+EventId Simulation::ScheduleAt(SimTime when, EventFn&& fn) {
   return Push(when, current_domain_, 0, NextDomainSeq(current_domain_),
               std::move(fn));
 }
 
 EventId Simulation::ScheduleAtKeyed(SimTime when, uint32_t domain,
                                     uint32_t stream, uint64_t seq,
-                                    EventFn fn) {
+                                    EventFn&& fn) {
   return Push(when, domain, stream, seq, std::move(fn));
 }
 
 EventId Simulation::Push(SimTime when, uint32_t domain, uint32_t stream,
-                         uint64_t seq, EventFn fn) {
+                         uint64_t seq, EventFn&& fn) {
   assert(when >= now_ && "cannot schedule into the past");
   uint32_t index = AllocSlot();
   Slot& slot = slots_[index];

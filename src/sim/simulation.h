@@ -64,16 +64,17 @@ class Simulation {
 
   // Schedules `fn` to run at now() + delay (delay >= 0). Returns an id that
   // can be passed to Cancel. The event inherits the currently-executing
-  // event's ordering domain (see the header comment).
-  EventId Schedule(SimDuration delay, EventFn fn);
-  EventId ScheduleAt(SimTime when, EventFn fn);
+  // event's ordering domain (see the header comment). The schedule calls
+  // take the callable by reference, so it is moved once, into its slot.
+  EventId Schedule(SimDuration delay, EventFn&& fn);
+  EventId ScheduleAt(SimTime when, EventFn&& fn);
 
   // Schedules with an explicit canonical order key. Same-timestamp events
   // order by (domain, stream, seq); the caller owns seq monotonicity within
   // its (domain, stream) pair. Used for cross-shard-safe handoffs whose
   // relative order must not depend on the shard layout.
   EventId ScheduleAtKeyed(SimTime when, uint32_t domain, uint32_t stream,
-                          uint64_t seq, EventFn fn);
+                          uint64_t seq, EventFn&& fn);
 
   // Cancels a pending event, removing it from the queue in O(log n).
   // Cancelling an already-fired, already-cancelled or unknown id is a no-op
@@ -162,7 +163,7 @@ class Simulation {
   void ReleaseSlot(uint32_t index);
   uint64_t NextDomainSeq(uint32_t domain);
   EventId Push(SimTime when, uint32_t domain, uint32_t stream, uint64_t seq,
-               EventFn fn);
+               EventFn&& fn);
   void Execute(const HeapEntry& top);
 
   // Indexed-heap primitives; every move updates the slot's heap_pos.

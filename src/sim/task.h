@@ -204,8 +204,12 @@ namespace task_internal {
 template <typename T>
 struct FutureState {
   std::optional<T> value;
-  // Waiting coroutines and plain callbacks, resumed/invoked in FIFO order.
-  std::vector<std::coroutine_handle<>> waiters;
+  // Waiting coroutines, resumed in registration order. Nearly every future
+  // has exactly one, so the first waits inline and the vector holds only
+  // later ones.
+  std::coroutine_handle<> first_waiter;
+  std::vector<std::coroutine_handle<>> more_waiters;
+  // Plain callbacks, invoked in FIFO order before any waiter resumes.
   std::vector<std::function<void()>> callbacks;
 };
 
@@ -222,18 +226,23 @@ class Promise {
 
   bool fulfilled() const { return state_->value.has_value(); }
 
-  // Completes the future and resumes all waiters (in registration order).
+  // Completes the future, invokes its callbacks, then resumes all waiters
+  // (each group in registration order).
   void Set(T value) {
     assert(!state_->value.has_value() && "Promise::Set called twice");
     state_->value = std::move(value);
-    auto waiters = std::move(state_->waiters);
-    state_->waiters.clear();
+    std::coroutine_handle<> first = std::exchange(state_->first_waiter, nullptr);
+    auto more = std::move(state_->more_waiters);
+    state_->more_waiters.clear();
     auto callbacks = std::move(state_->callbacks);
     state_->callbacks.clear();
     for (auto& callback : callbacks) {
       callback();
     }
-    for (auto& handle : waiters) {
+    if (first) {
+      first.resume();
+    }
+    for (auto& handle : more) {
       handle.resume();
     }
   }
@@ -288,7 +297,11 @@ class Future {
   // Awaitable interface.
   bool await_ready() const noexcept { return ready(); }
   void await_suspend(std::coroutine_handle<> handle) {
-    state_->waiters.push_back(handle);
+    if (!state_->first_waiter) {
+      state_->first_waiter = handle;
+    } else {
+      state_->more_waiters.push_back(handle);
+    }
   }
   T await_resume() { return *state_->value; }
 

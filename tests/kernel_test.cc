@@ -2,6 +2,8 @@
 // representations, type managers, creation and the invocation happy paths.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/kernel/eden_system.h"
 #include "tests/test_util.h"
 
@@ -238,6 +240,33 @@ TEST_F(KernelFixture, ManySequentialInvocationsAreStable) {
     ASSERT_TRUE(result.ok()) << "iteration " << i << ": " << result.status;
     EXPECT_EQ(result.results.U64At(0).value(), static_cast<uint64_t>(i));
   }
+}
+
+// A failing node fails its pending invocations in invocation-id order: each
+// failure runs its invoker's callbacks at once, so the order is observable
+// whatever container holds the pending table.
+TEST_F(KernelFixture, FailNodeFailsPendingInvocationsInIdOrder) {
+  auto cap = system_.node(0).CreateObject("counter", CounterRep());
+  ASSERT_TRUE(cap.ok());
+  // Warm node 1's location cache, so each invocation below goes out at once.
+  ASSERT_TRUE(Call(system_.node(1), *cap, "read").ok());
+  constexpr int kPending = 12;
+  std::vector<int> failed;
+  for (int i = 0; i < kPending; i++) {
+    system_.node(1).Invoke(*cap, "increment").OnReadyValue(
+        [&failed, i](const InvokeResult& result) {
+          EXPECT_EQ(result.status.code(), StatusCode::kUnavailable);
+          failed.push_back(i);
+        });
+  }
+  EXPECT_TRUE(failed.empty());
+  system_.node(1).FailNode();
+  // Invocation ids rise in the order the invocations started.
+  std::vector<int> expected;
+  for (int i = 0; i < kPending; i++) {
+    expected.push_back(i);
+  }
+  EXPECT_EQ(failed, expected);
 }
 
 TEST(KernelConfigTest, SeededRunsAreDeterministic) {

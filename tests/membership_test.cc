@@ -408,6 +408,56 @@ TEST(Membership, ReplyCacheTravelsWithMove) {
       dups_before + 1);
 }
 
+// The carried replies travel in invocation-id order, and the new home
+// installs them in that order. With a cache there smaller than the carried
+// list, FIFO eviction therefore keeps exactly the newest ids.
+TEST(Membership, CarriedRepliesInstallInIdOrder) {
+  EdenSystem system;
+  system.RegisterType(MakeCounterType());
+  system.AddNode("node0");
+  KernelConfig small_cache;
+  small_cache.reply_cache_capacity = 4;
+  system.AddNode("node1").WithKernel(small_cache);
+  system.AddNode("node2");
+
+  auto cap = system.node(0).CreateObject("counter", CounterRep());
+  ASSERT_TRUE(cap.ok());
+
+  // Eight hand-rolled increments with fixed ids, as in the test above.
+  constexpr int kCarried = 8;
+  std::vector<Bytes> wires;
+  for (int k = 1; k <= kCarried; k++) {
+    InvokeRequestMsg request;
+    request.invocation_id = (999ull << 40) | static_cast<uint64_t>(k);
+    request.reply_to = system.node(2).station();
+    request.target = *cap;
+    request.operation = "increment";
+    wires.push_back(request.Encode());
+    system.node(2).transport().SendReliable(system.node(0).station(),
+                                            Bytes(wires.back()));
+    system.RunFor(Milliseconds(20));
+  }
+  ASSERT_EQ(CounterValue(system, system.node(2), *cap), 8u);
+
+  auto object = system.node(0).FindActive(cap->name());
+  ASSERT_NE(object, nullptr);
+  Status moved = system.Await(
+      system.node(0).MoveObject(object, system.node(1).station()));
+  ASSERT_TRUE(moved.ok()) << moved;
+
+  // Ids 5..8 survived the four-entry cache: their retries are answered from
+  // it, newest first, and nothing re-executes.
+  Counter& dups = system.node(1).metrics().counter("kernel.duplicate_requests");
+  uint64_t dups_before = dups.value();
+  for (int k = kCarried; k > kCarried - 4; k--) {
+    system.node(2).transport().SendReliable(system.node(1).station(),
+                                            Bytes(wires[k - 1]));
+    system.RunFor(Milliseconds(20));
+  }
+  EXPECT_EQ(dups.value(), dups_before + 4);
+  EXPECT_EQ(CounterValue(system, system.node(2), *cap), 8u);
+}
+
 TEST(Membership, MoveTransferCachedRepliesRoundTrip) {
   MoveTransferMsg msg;
   msg.transfer_id = 42;

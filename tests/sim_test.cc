@@ -7,6 +7,7 @@
 #include <compare>
 #include <iterator>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -338,17 +339,22 @@ TEST(TaskTest, MultipleWaitersAllResume) {
   Simulation sim;
   Promise<Unit> promise;
   Future<Unit> future = promise.GetFuture();
-  int resumed = 0;
-  auto waiter = [&](Future<Unit> f) -> Task<void> {
+  std::vector<std::string> resumed;
+  auto waiter = [&](Future<Unit> f, int index) -> Task<void> {
     co_await f;
-    resumed++;
+    resumed.push_back("waiter " + std::to_string(index));
   };
-  for (int i = 0; i < 5; i++) {
-    Spawn(waiter(future));
+  Spawn(waiter(future, 0));
+  // Registered after the first waiter, yet callbacks run before any waiter.
+  future.OnReady([&] { resumed.push_back("callback"); });
+  for (int i = 1; i < 5; i++) {
+    Spawn(waiter(future, i));
   }
-  EXPECT_EQ(resumed, 0);
+  EXPECT_TRUE(resumed.empty());
   promise.Set(Unit{});
-  EXPECT_EQ(resumed, 5);
+  EXPECT_EQ(resumed, (std::vector<std::string>{"callback", "waiter 0",
+                                               "waiter 1", "waiter 2",
+                                               "waiter 3", "waiter 4"}));
 }
 
 TEST(TaskTest, LaunchExposesTaskResultAsFuture) {
